@@ -49,6 +49,7 @@ from .errors import (
     SectorError,
 )
 from .hamiltonian import EffectiveModel
+from .metrics import fidelity
 from .records import RunReport, Schedule
 from .statespace import MAX_DENSE_QUBITS, StateVector
 
@@ -167,10 +168,10 @@ def ideal_cluster(n: int) -> StateVector:
     """
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ArgumentError(f"n must be in 1..{MAX_DENSE_QUBITS}, got {n}")
-    vec = np.array([1.0], dtype=complex)
+    vec = np.array([1.0])
     for q in range(1, n + 1):
         flipped = _sz_on_last(vec) if q > 1 else vec
-        vec = np.concatenate([vec.reshape(-1, 1), flipped.reshape(-1, 1)], axis=1).reshape(-1)
+        vec = _interleave(vec, flipped)
     return StateVector(vec / 2 ** (n / 2.0), n, 1)
 
 
@@ -201,6 +202,7 @@ def _step_coefficients(model: EffectiveModel, n: int):
 def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunReport]:
     """Closed-form cluster output via the two-branch recursion (cavity exact vacuum).
 
+    This is the analytic executor behind ``run_cluster(mode="analytic")``.
     After each load step the joint state keeps the shape
     ``2^{-(k+1)/2} (|0_c> x_k + i |1_c> sigma_z^k y_k) (x) remaining qubits``
     with the recursion (sigma_z^0 = identity, x_0 = y_0 = 1):
@@ -212,9 +214,16 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
     load root; dropping it gives a simpler but inexact recursion that treats
     both stay branches as equal (see tests: the full form matches the numeric
     propagator to 1e-15, the truncated one only to O(kappa/lambda)). The
-    drain step then maps i|1_c> sigma_z y onto qubit N exactly:
+    drain step, run for the schedule's final duration, maps i|1_c> sigma_z y
+    onto qubit N with the swap amplitude a'_N:
 
         psi_N = 2^{-N/2} (|0>_N x_{N-1} + a'_N sigma_z^{N-1} |1>_N y_{N-1}) (x) |0_c>
+
+    Per-step norms are 2^{-(k+1)} (|x_k|^2 + |y_k|^2), and the success
+    probability is P = 2^{-N} (|x_{N-1}|^2 + a'^2 |y_{N-1}|^2), exactly 1 at
+    kappa = 0. The drain's cavity-excited stay coefficient, zero at the drain
+    root, leaves the weight 2^{-N/2} |stay_c| |y_{N-1}| at photon 1; it is
+    reported as ``details["cavity_residual"]`` for the caller to check.
     """
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(
@@ -222,41 +231,45 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
             "(use cluster_fidelity_recursive for larger n)"
         )
     schedule = cluster_schedule(model, n)   # validates model/n and the regime
-    loads, drain_amp = _step_coefficients(model, n)
+    loads, _ = _step_coefficients(model, n)
 
     x = np.array([1.0], dtype=float)
     y = np.array([1.0], dtype=float)
     per_step = []
     for k, (a, b, d) in enumerate(loads, start=1):
         szy = _sz_on_last(y) if k > 1 else y
-        x_new = np.concatenate([x.reshape(-1, 1), (a * szy).reshape(-1, 1)], axis=1).reshape(-1)
-        y_new = np.concatenate(
-            [(a * x + d * szy).reshape(-1, 1), (b * szy).reshape(-1, 1)], axis=1
-        ).reshape(-1)
-        x, y = x_new, y_new
-        norm_sq = (float(x @ x) + float(y @ y)) / 2 ** (k + 1)
-        per_step.append((k, norm_sq))
+        x, y = _interleave(x, a * szy), _interleave(a * x + d * szy, b * szy)
+        per_step.append((k, (float(x @ x) + float(y @ y)) / 2 ** (k + 1)))
 
-    szy = _sz_on_last(y) if n > 1 else y
-    final = np.concatenate(
-        [x.reshape(-1, 1), (drain_amp * szy).reshape(-1, 1)], axis=1
-    ).reshape(-1) / 2 ** (n / 2.0)
-    state = StateVector(final.astype(complex), n, 1)
-    p_success = state.norm_sq()
+    _, lam, duration = schedule.steps[-1]
+    _, stay_c, hop, _ = _branch_coefficients(lam, model.kappa, duration)
+    drain_amp = -hop.imag          # hop = -i a'
+    scale = 2.0 ** (-n / 2.0)
+    state = StateVector(_interleave(x, drain_amp * _sz_on_last(y)) * scale, n, 1)
+    y_sq = float(y @ y)
+    p_success = (float(x @ x) + drain_amp * drain_amp * y_sq) / 2 ** n
     per_step.append((n, p_success))
 
-    target = ideal_cluster(n)
-    overlap = float(np.real(np.vdot(target.amplitudes, state.amplitudes)))
-    fidelity = overlap * overlap / p_success
     report = RunReport(
-        fidelity=fidelity,
+        fidelity=fidelity(state, ideal_cluster(n)),
         success_probability=p_success,
         per_step=tuple(per_step),
         mode="analytic",
         kappa_over_lambda=model.kappa_over_lambda,
-        details={"schedule": schedule},
+        details={
+            "schedule": schedule,
+            "cavity_residual": abs(stay_c) * math.sqrt(y_sq) * scale,
+        },
     )
     return state, report
+
+
+def _interleave(zero: np.ndarray, one: np.ndarray) -> np.ndarray:
+    """Append a qubit: ``zero`` on its |0> branch, ``one`` on its |1> branch."""
+    out = np.empty(2 * zero.size, dtype=np.result_type(zero, one))
+    out[0::2] = zero
+    out[1::2] = one
+    return out
 
 
 def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, float]:

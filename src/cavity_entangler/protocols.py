@@ -1,10 +1,11 @@
 """End-to-end protocol executors in analytic and numeric modes.
 
-Both modes run the same schedule on the same initial state; "analytic" folds
-the closed-form step map, "numeric" propagates with the matrix exponential
-(or the adaptive integrator). Coupling/decoupling a qubit is modeled as
-instantaneous switching of the active set; inactive qubits are strictly
-uncoupled.
+"analytic" evaluates the closed-form constructions of the analytic module
+(the two-branch cluster recursion, the W single-excitation amplitudes);
+"numeric" propagates the joint qubits-plus-cavity state through the same
+schedule with the matrix exponential (or the adaptive integrator), as the
+independent oracle. Coupling/decoupling a qubit is modeled as instantaneous
+switching of the active set; inactive qubits are strictly uncoupled.
 """
 from __future__ import annotations
 
@@ -15,7 +16,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import analytic, metrics, numeric, statespace
-from .errors import ArgumentError, CapacityError, ProtocolError, RegimeWarning
+from .errors import (
+    ArgumentError,
+    CapacityError,
+    FactorizationError,
+    ProtocolError,
+    RegimeWarning,
+)
 from .hamiltonian import (
     REGIME_MAX_KAPPA_OVER_LAMBDA,
     EffectiveModel,
@@ -27,8 +34,9 @@ from .statespace import StateVector
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
 
-# The analytic factorization is exact; the numeric one carries integrator
-# and expm roundoff, hence the looser threshold.
+# Cavity-factorization thresholds on the photon-1 weight after the drain
+# step. The analytic one is exact up to the roundoff of the drain root; the
+# numeric one carries integrator and expm roundoff, hence the looser threshold.
 CAVITY_TOL = {ANALYTIC: 1e-10, NUMERIC: 1e-7}
 
 
@@ -53,7 +61,10 @@ def _warn_if_out_of_regime(model: EffectiveModel) -> None:
 # ---------------------------------------------------------------------------
 
 def cluster_initial_state(n: int) -> StateVector:
-    """Qubits 1..N-1 in |+>, qubit N in |0>, cavity in (|0> + i|1>)/sqrt(2)."""
+    """Qubits 1..N-1 in |+>, qubit N in |0>, cavity in (|0> + i|1>)/sqrt(2).
+
+    The joint input of numeric-mode cluster runs.
+    """
     vec = np.array([1.0], dtype=complex)
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     ground = np.array([1.0, 0.0], dtype=complex)
@@ -71,8 +82,12 @@ def run_cluster(
 ) -> Tuple[StateVector, RunReport]:
     """Run the N-step sequential protocol; return the qubit register and report.
 
-    The cavity is factored out at vacuum after the final (drain) step; a
-    factorization error here signals a scheduling bug, not numerical noise.
+    Analytic mode is ``analytic.cluster_analytic``, the two-branch recursion
+    over the register; numeric mode propagates the joint state step by step
+    and factors the cavity out at vacuum. Either way the photon-1 weight left
+    after the final (drain) step is reported as ``details["cavity_residual"]``
+    and raises FactorizationError above ``CAVITY_TOL[mode]`` relative to the
+    state's norm: it signals a scheduling bug, not numerical noise.
     Fidelity is measured against the normalized ideal cluster state, success
     probability is the final squared norm.
     """
@@ -85,32 +100,35 @@ def run_cluster(
             "(use cluster_fidelity_recursive for larger registers)"
         )
     _warn_if_out_of_regime(model)
-    schedule = analytic.cluster_schedule(model, n)
+    if mode == ANALYTIC:
+        register, report = analytic.cluster_analytic(model, n)
+        residual = report.details["cavity_residual"]
+        tol = CAVITY_TOL[ANALYTIC]
+        if residual > tol * math.sqrt(report.success_probability):
+            raise FactorizationError(
+                f"photon left in the cavity after the drain step: residual norm "
+                f"{residual:.3e} exceeds tol {tol:.1e} (relative)",
+                residual,
+            )
+        return register, report
 
+    schedule = analytic.cluster_schedule(model, n)
+    opts = opts or numeric.PropagatorOptions()
     psi = cluster_initial_state(n)
     per_step = []
-    if mode == ANALYTIC:
-        for idx, (j, lam, duration) in enumerate(schedule.steps, start=1):
-            role = analytic.LOAD if j < n else analytic.DRAIN
-            p = analytic.step_params(lam, model.kappa, role)
-            psi = analytic.single_step_map(psi, j, p, duration)
-            per_step.append((idx, psi.norm_sq()))
-    else:
-        opts = opts or numeric.PropagatorOptions()
-        for idx, (j, lam, duration) in enumerate(schedule.steps, start=1):
-            h = build_effective(model.with_active({j}), n, psi.fock_cutoff)
-            psi = numeric.evolve(h, psi, duration, opts)
-            per_step.append((idx, psi.norm_sq()))
+    for idx, (j, lam, duration) in enumerate(schedule.steps, start=1):
+        h = build_effective(model.with_active({j}), n, psi.fock_cutoff)
+        psi = numeric.evolve(h, psi, duration, opts)
+        per_step.append((idx, psi.norm_sq()))
 
-    register = statespace.factor_out_cavity(psi, photon=0, tol=CAVITY_TOL[mode])
-    target = analytic.ideal_cluster(n)
+    register = statespace.factor_out_cavity(psi, photon=0, tol=CAVITY_TOL[NUMERIC])
     report = RunReport(
-        fidelity=metrics.fidelity(register, target),
+        fidelity=metrics.fidelity(register, analytic.ideal_cluster(n)),
         success_probability=register.norm_sq(),
         per_step=tuple(per_step),
         mode=mode,
         kappa_over_lambda=model.kappa_over_lambda,
-        details={"schedule": schedule},
+        details={"schedule": schedule, "cavity_residual": statespace.cavity_residual(psi)},
     )
     return register, report
 

@@ -48,7 +48,7 @@ class StateVector:
     fock_cutoff: int = 2
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)   # owned copy
         if self.qubit_count < 1:
             raise ArgumentError(f"qubit_count must be >= 1, got {self.qubit_count}")
         if self.qubit_count > MAX_DENSE_QUBITS:
@@ -63,7 +63,6 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected ({dim},) "
                 f"for {self.qubit_count} qubits and cutoff {self.fock_cutoff}"
             )
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -162,27 +161,33 @@ def apply_sigma_z(s: StateVector, j: int) -> StateVector:
     return StateVector(arr.reshape(-1), s.qubit_count, s.fock_cutoff)
 
 
-def factor_out_cavity(s: StateVector, photon: int = 0, tol: float = 1e-9) -> StateVector:
-    """Split off the cavity factor |photon>_c, returning the qubit register.
-
-    Requires all amplitude weight outside the given photon sector to be below
-    ``tol * norm``; the factorization is exact for protocol outputs, so any
-    real residual signals a bug upstream. Amplitudes are preserved (no
-    normalization); the result uses fock_cutoff = 1.
-    """
+def cavity_residual(s: StateVector, photon: int = 0) -> float:
+    """Norm of the amplitude weight outside the cavity sector |photon>_c."""
     if not 0 <= photon < s.fock_cutoff:
         raise ArgumentError(f"photon {photon} outside 0..{s.fock_cutoff - 1}")
     grid = s.amplitudes.reshape(-1, s.fock_cutoff)
-    kept = grid[:, photon]
     others = [k for k in range(s.fock_cutoff) if k != photon]
-    residual = float(np.linalg.norm(grid[:, others]))
+    return float(np.linalg.norm(grid[:, others]))
+
+
+def factor_out_cavity(s: StateVector, photon: int = 0, tol: float = 1e-9) -> StateVector:
+    """Split off the cavity factor |photon>_c, returning the qubit register.
+
+    Requires all amplitude weight outside the given photon sector (the
+    ``cavity_residual``) to be below ``tol * norm``; the factorization is
+    exact for protocol outputs, so any real residual signals a bug upstream.
+    Amplitudes are preserved (no normalization); the result uses
+    fock_cutoff = 1.
+    """
+    residual = cavity_residual(s, photon)
     if residual > tol * max(s.norm(), np.finfo(float).tiny):
         raise FactorizationError(
             f"weight outside photon={photon} sector: residual norm {residual:.3e} "
             f"exceeds tol {tol:.1e} (relative)",
             residual,
         )
-    return StateVector(kept.copy(), s.qubit_count, 1)
+    kept = s.amplitudes.reshape(-1, s.fock_cutoff)[:, photon]
+    return StateVector(kept, s.qubit_count, 1)
 
 
 # -- text dump format ---------------------------------------------------------

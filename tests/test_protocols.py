@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,14 @@ import pytest
 from cavity_entangler import (
     ArgumentError,
     EffectiveModel,
+    FactorizationError,
     RegimeWarning,
+    analytic,
     build_effective,
     cluster_initial_state,
+    cluster_schedule,
     evolve,
+    factor_out_cavity,
     fidelity,
     ideal_cluster,
     inject_phase_errors,
@@ -17,9 +22,27 @@ from cavity_entangler import (
     number_operator,
     run_cluster,
     run_w,
+    single_step_map,
+    step_params,
     w_initial_state,
     w_target,
 )
+from cavity_entangler.protocols import CAVITY_TOL
+
+
+def fold_cluster(model, n):
+    """Step-by-step closed-form run: single_step_map folded over the joint state.
+
+    Returns the register (cavity factored out at vacuum) and the per-step
+    squared norms, as an independent restatement of the analytic executor.
+    """
+    psi = cluster_initial_state(n)
+    per_step = []
+    for idx, (j, lam, duration) in enumerate(cluster_schedule(model, n).steps, start=1):
+        role = analytic.LOAD if j < n else analytic.DRAIN
+        psi = single_step_map(psi, j, step_params(lam, model.kappa, role), duration)
+        per_step.append((idx, psi.norm_sq()))
+    return factor_out_cavity(psi, photon=0, tol=CAVITY_TOL["analytic"]), per_step
 
 
 class TestClusterRun:
@@ -86,6 +109,47 @@ class TestClusterRun:
         for i in range(len(ratios)):
             assert table[2][i][0] >= table[3][i][0] >= table[4][i][0]
             assert table[2][i][1] >= table[3][i][1] >= table[4][i][1]
+
+    def test_matches_step_map_fold(self, rng):
+        for n in range(2, 11):
+            lams = tuple(rng.uniform(0.5, 2.0, n))
+            kappa = float(rng.uniform(0.0, 0.1)) * min(lams)
+            model = EffectiveModel(lams, kappa)
+            state, report = run_cluster(model, n, "analytic")
+            register, per_step = fold_cluster(model, n)
+            assert np.max(np.abs(state.amplitudes - register.amplitudes)) <= 1e-14
+            assert [i for i, _ in report.per_step] == [i for i, _ in per_step]
+            assert max(abs(a - b) for (_, a), (_, b) in zip(report.per_step, per_step)) <= 1e-12
+            assert report.fidelity == pytest.approx(
+                fidelity(register, ideal_cluster(n)), abs=1e-13
+            )
+            assert report.success_probability == pytest.approx(register.norm_sq(), abs=1e-13)
+
+    def test_no_decay_is_exact(self):
+        for n in (2, 3, 5):
+            state, report = run_cluster(EffectiveModel((1.0,) * n, 0.0), n, "analytic")
+            assert np.all(np.abs(state.amplitudes) == 2.0 ** (-n / 2.0))
+            assert report.success_probability == 1.0
+
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_cavity_residual_reported(self, mode):
+        _, report = run_cluster(EffectiveModel((1.0, 1.3, 0.8), 0.06), 3, mode)
+        assert 0.0 <= report.details["cavity_residual"] < CAVITY_TOL[mode]
+
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_mistimed_drain_raises(self, mode, monkeypatch):
+        exact = analytic.step_params
+
+        def late_drain(lam, kappa, role=analytic.LOAD):
+            p = exact(lam, kappa, role)
+            if role == analytic.DRAIN:
+                return dataclasses.replace(p, duration=1.01 * p.duration)
+            return p
+
+        monkeypatch.setattr(analytic, "step_params", late_drain)
+        with pytest.raises(FactorizationError) as info:
+            run_cluster(EffectiveModel((1.0,) * 4, 0.05), 4, mode)
+        assert info.value.residual > 1e-3
 
     def test_out_of_regime_warns(self):
         with pytest.warns(RegimeWarning):
