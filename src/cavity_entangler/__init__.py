@@ -37,6 +37,7 @@ from .hamiltonian import (
     ThreeLevelModel,
     build_effective,
     build_full_rotated,
+    build_single_excitation,
     effective_coupling,
     excitation_operator,
     kappa_from_quality,
@@ -90,6 +91,7 @@ __all__ = [
     "apply_sigma_z",
     "build_effective",
     "build_full_rotated",
+    "build_single_excitation",
     "cluster_analytic",
     "cluster_fidelity_recursive",
     "cluster_initial_state",

@@ -79,11 +79,13 @@ def step_params(lam: float, kappa: float, role: str = LOAD) -> StepParams:
     """
     if role not in (LOAD, DRAIN):
         raise ArgumentError(f"role must be 'load' or 'drain', got {role!r}")
-    if kappa < 0:
-        raise ArgumentError(f"kappa must be >= 0, got {kappa}")
-    if lam <= 0:
-        raise ArgumentError(f"lam must be > 0, got {lam}")
-    if kappa >= 4 * lam:
+    # one chained comparison on the path every step takes; it is False for
+    # NaN and inf, and 0 <= kappa < 4 lam implies lam > 0
+    if not (0 <= kappa < 4 * lam and lam < math.inf):
+        if not 0 <= kappa < math.inf:
+            raise ArgumentError(f"kappa must be finite and >= 0, got {kappa}")
+        if not 0 < lam < math.inf:
+            raise ArgumentError(f"lam must be finite and > 0, got {lam}")
         raise RegimeError(
             f"kappa = {kappa:.3g} >= 4*lam = {4 * lam:.3g}: exchange is overdamped, "
             "no full-transfer time exists"

@@ -10,8 +10,8 @@ validate  run the cross-check suite (analytic vs numeric, transfer roots,
 Configs are single JSON documents; frequencies are either plain numbers
 (already rad/s) or suffixed strings ("10 MHz", "1.5 GHz", "2.5e4 rad/s")
 converted at parse time. Exit codes: 0 success, 1 argument/config error,
-2 regime error, 3 convergence/factorization/protocol error, 4 validation
-failure.
+2 regime error, 3 convergence/factorization/protocol/numeric/sector error,
+4 validation failure.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -31,12 +32,15 @@ import numpy as np
 from . import analytic, numeric, protocols, statespace
 from .errors import (
     ArgumentError,
+    CapacityError,
     CavityEntanglerError,
     ConvergenceError,
     FactorizationError,
+    NumericError,
     ProtocolError,
     RegimeError,
     RegimeWarning,
+    SectorError,
 )
 from .hamiltonian import (
     REGIME_MAX_KAPPA_OVER_LAMBDA,
@@ -54,6 +58,9 @@ EXIT_ARGUMENT = 1
 EXIT_REGIME = 2
 EXIT_CONVERGENCE = 3
 EXIT_VALIDATE = 4
+
+# --dump-h writes dense 2^(N+1) x 2^(N+1) matrices; N = 10 is 64 MiB per matrix
+MAX_DUMP_H_QUBITS = 10
 
 CSV_HEADER = "protocol,N,kappa_over_lambda,fidelity,success_probability,runtime_s,status"
 
@@ -213,6 +220,11 @@ def _execute(config: RunConfig, n: int, kappa: float):
 
 
 def cmd_run(config: RunConfig, args) -> int:
+    if args.dump_h and config.n > MAX_DUMP_H_QUBITS:
+        raise CapacityError(
+            f"--dump-h writes dense Hamiltonians and is capped at N = {MAX_DUMP_H_QUBITS}, "
+            f"got N = {config.n}"
+        )
     ratio = config.kappa_over_lambda
     if ratio > REGIME_MAX_KAPPA_OVER_LAMBDA:
         print(
@@ -229,6 +241,8 @@ def cmd_run(config: RunConfig, args) -> int:
     fid = report.fidelity
     if args.fidelity_convention == "raw":
         fid = fid * report.success_probability
+    if not (math.isfinite(fid) and math.isfinite(report.success_probability)):
+        raise NumericError(f"non-finite result: F={fid}, P={report.success_probability}")
     print(f"protocol={config.protocol}")
     print(f"N={config.n}")
     print(f"mode={config.mode}")
@@ -305,6 +319,8 @@ def _sweep_point(task: tuple) -> tuple:
                 cfg = RunConfig(protocol, n, rest, kappa, mode)
                 _, report = _execute(cfg, n, kappa)
                 fid, p = report.fidelity, report.success_probability
+        if not (math.isfinite(fid) and math.isfinite(p)):
+            raise NumericError(f"non-finite result: F={fid}, P={p}")
         if convention == "raw":
             fid = fid * p
         status = "ok"
@@ -322,6 +338,8 @@ def _sweep_point(task: tuple) -> tuple:
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
+    if args.jobs < 1:
+        raise ArgumentError(f"--jobs must be >= 1, got {args.jobs}")
     if config.sweep is None:
         raise ArgumentError("config has no 'sweep' section")
     grid = config.sweep["kappa_over_lambda"]
@@ -333,8 +351,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
         for r in ratios
     ]
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(t) for t in tasks]
@@ -402,7 +421,7 @@ def _check_full_transfer(rng) -> tuple:
 
 def _check_cluster_equivalence(rng) -> tuple:
     worst = 0.0
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 8, 16):
         for _ in range(2):
             lams = tuple(rng.uniform(0.5, 2.0, n))
             kappa = float(rng.uniform(0.01, 0.1)) * min(lams)
@@ -561,7 +580,7 @@ def main(argv=None) -> int:
         print(f"error: {exc} (supported regime: kappa/lambda <= "
               f"{REGIME_MAX_KAPPA_OVER_LAMBDA})", file=sys.stderr)
         return EXIT_REGIME
-    except (ConvergenceError, FactorizationError, ProtocolError) as exc:
+    except (ConvergenceError, FactorizationError, ProtocolError, NumericError, SectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ArgumentError as exc:

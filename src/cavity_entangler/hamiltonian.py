@@ -8,6 +8,9 @@ Two models are built as dense matrices over the statespace basis:
   frame where the drive phases are absorbed into a detuning term on level 2,
   H = sum_j [delta_j |2>_j<2| + g_j (a^dag |0>_j<2| + h.c.) + Omega_j (|1>_j<2| + h.c.)]
 
+The exchange Hamiltonian conserves excitation number, so it is also built on
+its (N+1)-dimensional single-excitation block alone.
+
 All frequencies are angular (rad/s). Builders are pure functions and the
 returned matrices are never mutated.
 """
@@ -36,10 +39,16 @@ class EffectiveModel:
     active: frozenset = None
 
     def __post_init__(self):
-        lambdas = tuple(float(x) for x in self.lambdas)
+        lambdas = tuple(map(float, self.lambdas))
         object.__setattr__(self, "lambdas", lambdas)
         if not lambdas:
             raise ArgumentError("lambdas must be non-empty")
+        if not (all(map(math.isfinite, lambdas)) and math.isfinite(self.kappa)):
+            bad = sum(not math.isfinite(x) for x in lambdas)
+            raise ArgumentError(
+                f"couplings and kappa must be finite, got kappa={self.kappa} "
+                f"and {bad} non-finite coupling(s)"
+            )
         if self.kappa < 0:
             raise ArgumentError(f"kappa must be >= 0, got {self.kappa}")
         active = self.active
@@ -194,6 +203,23 @@ def build_effective(model: EffectiveModel, n: int, cutoff: int = 2) -> OperatorM
         post = np.eye(1 << (n - j), dtype=complex)
         h += lam * (_kron(pre, low, post, adag) + _kron(pre, raise_, post, a))
     h += -0.5j * model.kappa * _kron(eye_q, adag @ a)
+    return OperatorMatrix(h, hermitian_flag=(model.kappa == 0))
+
+
+def build_single_excitation(model: EffectiveModel, n: int) -> OperatorMatrix:
+    """The exchange Hamiltonian on its (n+1)-dimensional single-excitation block.
+
+    Basis |1_1>, ..., |1_n>, |1_c>: qubit j (or the cavity) holds the one
+    excitation, everything else is in the ground state; the order of
+    ``analytic.w_amplitudes``. The Hamiltonian conserves excitation number, so
+    the block equals ``build_effective(model, n, 2)`` restricted to those kets.
+    """
+    if n != model.qubit_count:
+        raise ArgumentError(f"n = {n} but model has {model.qubit_count} couplings")
+    h = np.zeros((n + 1, n + 1), dtype=complex)
+    for j in sorted(model.active):
+        h[j - 1, n] = h[n, j - 1] = model.lambdas[j - 1]
+    h[n, n] = -0.5j * model.kappa
     return OperatorMatrix(h, hermitian_flag=(model.kappa == 0))
 
 

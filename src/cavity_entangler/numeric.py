@@ -1,12 +1,21 @@
 """Independent numeric propagator: the oracle every closed form is tested against.
 
+``evolve_vector`` applies exp(-i M t) to a vector or to every column of a
+block; on the identity it returns the propagator itself. The protocol oracle
+uses it on small generators only: the (2 x cutoff)-dimensional qubit-cavity
+block of one cluster step, and the (N+1)-dimensional single-excitation block
+of the W protocol. ``evolve`` does the same for a StateVector under a full
+dense OperatorMatrix, the small-N ground truth.
+
 Two methods, deliberately unrelated so they can cross-check each other:
 
-* ``matrix-exponential`` (default): dense expm via SciPy's scaling-and-squaring
+* ``matrix-exponential`` (default): expm via SciPy's scaling-and-squaring
   Pade implementation, robust for the mildly non-normal matrices here.
 * ``adaptive-integrator``: an embedded Dormand-Prince 5(4) pair with per-step
   error control, written out here rather than taken from a library so the
-  cross-check does not share code with anything else in the stack.
+  cross-check does not share code with anything else in the stack. On a
+  block it integrates the matrix ODE, with the error measured over the whole
+  block.
 """
 from __future__ import annotations
 
@@ -45,7 +54,11 @@ def evolve_vector(
     t: float,
     opts: PropagatorOptions = PropagatorOptions(),
 ) -> np.ndarray:
-    """exp(-i M t) vec on a bare array (used directly for non-qubit bases)."""
+    """exp(-i M t) vec on a bare array: a vector, or a block of column vectors.
+
+    Used directly for non-qubit bases and for small generators; with ``vec``
+    the identity the result is the propagator exp(-i M t).
+    """
     if t < 0:
         raise ArgumentError(f"t must be >= 0, got {t}")
     matrix = np.asarray(matrix, dtype=complex)

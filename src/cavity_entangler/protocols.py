@@ -1,11 +1,16 @@
 """End-to-end protocol executors in analytic and numeric modes.
 
 "analytic" evaluates the closed-form constructions of the analytic module
-(the two-branch cluster recursion, the W single-excitation amplitudes);
-"numeric" propagates the joint qubits-plus-cavity state through the same
-schedule with the matrix exponential (or the adaptive integrator), as the
-independent oracle. Coupling/decoupling a qubit is modeled as instantaneous
-switching of the active set; inactive qubits are strictly uncoupled.
+(the two-branch cluster recursion, the W single-excitation amplitudes).
+"numeric" is the independent oracle: it exponentiates the exchange
+Hamiltonian numerically (matrix exponential or adaptive integrator) and uses
+no closed-form amplitude. A cluster step couples one qubit to the cavity, so
+its propagator is the exponential of that qubit-cavity generator, applied to
+the joint state on the (qubit, cavity) axes in O(2^N). The W Hamiltonian
+conserves excitation number, so the W run evolves the (N+1)-dimensional
+single-excitation block. Coupling/decoupling a qubit is modeled as
+instantaneous switching of the active set; inactive qubits are strictly
+uncoupled.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ from .hamiltonian import (
     REGIME_MAX_KAPPA_OVER_LAMBDA,
     EffectiveModel,
     build_effective,
+    build_single_excitation,
 )
 from .records import RunReport, Schedule  # Schedule re-exported: records live in records.py
 from .statespace import StateVector
@@ -83,11 +89,13 @@ def run_cluster(
     """Run the N-step sequential protocol; return the qubit register and report.
 
     Analytic mode is ``analytic.cluster_analytic``, the two-branch recursion
-    over the register; numeric mode propagates the joint state step by step
-    and factors the cavity out at vacuum. Either way the photon-1 weight left
-    after the final (drain) step is reported as ``details["cavity_residual"]``
-    and raises FactorizationError above ``CAVITY_TOL[mode]`` relative to the
-    state's norm: it signals a scheduling bug, not numerical noise.
+    over the register; numeric mode propagates the joint state step by step,
+    each step with the numerically exponentiated qubit-cavity generator of
+    the coupled qubit, and factors the cavity out at vacuum. Either way the
+    photon-1 weight left after the final (drain) step is reported as
+    ``details["cavity_residual"]`` and raises FactorizationError above
+    ``CAVITY_TOL[mode]`` relative to the state's norm: it signals a
+    scheduling bug, not numerical noise.
     Fidelity is measured against the normalized ideal cluster state, success
     probability is the final squared norm.
     """
@@ -115,12 +123,18 @@ def run_cluster(
     schedule = analytic.cluster_schedule(model, n)
     opts = opts or numeric.PropagatorOptions()
     psi = cluster_initial_state(n)
+    cutoff = psi.fock_cutoff
+    grid = psi._grid()
     per_step = []
     for idx, (j, lam, duration) in enumerate(schedule.steps, start=1):
-        h = build_effective(model.with_active({j}), n, psi.fock_cutoff)
-        psi = numeric.evolve(h, psi, duration, opts)
-        per_step.append((idx, psi.norm_sq()))
+        h = build_effective(EffectiveModel((lam,), model.kappa), 1, cutoff)
+        u = numeric.evolve_vector(h.matrix, np.eye(h.dim), duration, opts)
+        # (qubit', photon', qubit, photon) contracted with the (j, cavity) axes
+        grid = np.tensordot(u.reshape(2, cutoff, 2, cutoff), grid, axes=([2, 3], [j - 1, n]))
+        per_step.append((idx, float(np.vdot(grid, grid).real)))
+        grid = np.moveaxis(grid, (0, 1), (j - 1, n))
 
+    psi = StateVector(grid.reshape(-1), n, cutoff)
     register = statespace.factor_out_cavity(psi, photon=0, tol=CAVITY_TOL[NUMERIC])
     report = RunReport(
         fidelity=metrics.fidelity(register, analytic.ideal_cluster(n)),
@@ -172,35 +186,27 @@ def run_w(
 
     if mode == ANALYTIC:
         amps = analytic.w_amplitudes(solved, t)
-        qubit1_residual = abs(amps[0])
-        cavity_residual = abs(amps[-1])
-        if qubit1_residual > 1e-10 or cavity_residual > 1e-12:
-            raise ProtocolError(
-                "W conditions not met at the solved time: "
-                f"qubit-1 residual {qubit1_residual:.3e}, cavity residual {cavity_residual:.3e}",
-                residual=max(qubit1_residual, cavity_residual),
-            )
-        register_amps = np.zeros(1 << (n - 1), dtype=complex)
-        for k in range(2, n + 1):
-            register_amps[1 << (n - 1 - (k - 1))] = amps[k - 1]
-        register = StateVector(register_amps, n - 1, 1)
-        per_step = ((1, register.norm_sq()),)
+        qubit1_tol, cavity_tol = 1e-10, 1e-12
     else:
-        opts = opts or numeric.PropagatorOptions()
-        h = build_effective(solved, n, 2)
-        psi = numeric.evolve(h, w_initial_state(n), t, opts)
-        grid = psi.amplitudes.reshape(2, 1 << (n - 1), 2)   # (qubit1, rest, photon)
-        qubit1_residual = float(np.linalg.norm(grid[1]))
-        cavity_residual = float(np.linalg.norm(grid[:, :, 1]))
-        threshold = 1e-7
-        if qubit1_residual > threshold or cavity_residual > threshold:
-            raise ProtocolError(
-                "W protocol failed to disentangle qubit 1 / cavity: "
-                f"residuals {qubit1_residual:.3e}, {cavity_residual:.3e}",
-                residual=max(qubit1_residual, cavity_residual),
-            )
-        register = StateVector(grid[0, :, 0].copy(), n - 1, 1)
-        per_step = ((1, register.norm_sq()),)
+        # single-excitation block, basis |1_1>, ..., |1_N>, |1_c>; start at |1_1>
+        start = np.zeros(n + 1, dtype=complex)
+        start[0] = 1.0
+        block = build_single_excitation(solved, n)
+        amps = numeric.evolve_vector(block.matrix, start, t, opts or numeric.PropagatorOptions())
+        qubit1_tol = cavity_tol = 1e-7
+    qubit1_residual = float(abs(amps[0]))
+    cavity_residual = float(abs(amps[-1]))
+    if qubit1_residual > qubit1_tol or cavity_residual > cavity_tol:
+        raise ProtocolError(
+            "W conditions not met at the solved time: "
+            f"qubit-1 residual {qubit1_residual:.3e}, cavity residual {cavity_residual:.3e}",
+            residual=max(qubit1_residual, cavity_residual),
+        )
+    register_amps = np.zeros(1 << (n - 1), dtype=complex)
+    for k in range(2, n + 1):
+        register_amps[1 << (n - 1 - (k - 1))] = amps[k - 1]
+    register = StateVector(register_amps, n - 1, 1)
+    per_step = ((1, register.norm_sq()),)
 
     target = analytic.w_target(rest, model.kappa, t)
     report = RunReport(

@@ -214,12 +214,11 @@ def write_state_dump(s: StateVector, fh: TextIO) -> None:
 
 
 def matrix_dump_lines(matrix: np.ndarray) -> list:
-    lines = []
     m = np.asarray(matrix)
-    for row in range(m.shape[0]):
-        for col in range(m.shape[1]):
-            v = m[row, col]
-            if v == 0:
-                continue
-            lines.append(f"{row} {col} {v.real:.17g} {v.imag:.17g}")
-    return lines
+    rows, cols = np.nonzero(m)          # row-major order
+    vals = m[rows, cols]
+    return [
+        f"{row} {col} {real:.17g} {imag:.17g}"
+        for row, col, real, imag in zip(rows.tolist(), cols.tolist(),
+                                    vals.real.tolist(), vals.imag.tolist())
+    ]

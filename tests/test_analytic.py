@@ -52,6 +52,12 @@ class TestStepParams:
         assert p.swap_amp == pytest.approx(math.exp(-0.1 * p.duration / 4), rel=1e-13)
         assert p.double_amp == pytest.approx(0.9232872378353175, rel=1e-13)
 
+    @pytest.mark.parametrize("lam, kappa", [(float("nan"), 0.0), (1.0, float("nan")),
+                                            (float("inf"), 0.0), (1.0, float("inf"))])
+    def test_non_finite_inputs_rejected(self, lam, kappa):
+        with pytest.raises(ArgumentError):
+            step_params(lam, kappa)
+
     def test_load_root_kills_qubit_excited_stay(self, rng):
         for _ in range(50):
             lam = float(rng.uniform(0.3, 3.0))

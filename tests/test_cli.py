@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+import cavity_entangler.cli as cli_module
 from cavity_entangler import ArgumentError, kappa_from_quality
 from cavity_entangler.cli import (
     CSV_HEADER,
+    MAX_DUMP_H_QUBITS,
     config_from_dict,
     main,
     parse_frequency,
@@ -109,6 +111,65 @@ class TestRunCommand:
         code = main(["run", "--config", cfg])
         assert code == 3
         assert "induced failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", ["NumericError", "SectorError"])
+    def test_numeric_and_sector_errors_exit_3(self, tmp_path, capsys, monkeypatch, error):
+        import cavity_entangler
+
+        def boom(config, n, kappa):
+            raise getattr(cavity_entangler, error)("induced failure")
+
+        monkeypatch.setattr(cli_module, "_execute", boom)
+        cfg = write_config(
+            tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0}
+        )
+        assert main(["run", "--config", cfg]) == 3
+        assert "induced failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": float("nan")},
+        {"protocol": "cluster", "N": 4, "lambdas": float("nan"), "kappa": 0.01},
+        {"protocol": "cluster", "N": 3, "lambdas": [1.0, float("inf"), 1.0], "kappa": 0.01},
+        {"protocol": "wstate", "N": 4, "lambdas": float("nan"), "kappa": 0.0},
+    ])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, doc):
+        code = main(["run", "--config", write_config(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "status=ok" not in captured.out
+        assert "finite" in captured.err
+
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, monkeypatch):
+        from cavity_entangler import RunReport, ideal_cluster
+
+        def nan_report(config, n, kappa):
+            return ideal_cluster(n), RunReport(float("nan"), 1.0, (), "analytic", 0.0)
+
+        monkeypatch.setattr(cli_module, "_execute", nan_report)
+        cfg = write_config(
+            tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0}
+        )
+        code = main(["run", "--config", cfg])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "status=ok" not in captured.out
+        assert "non-finite" in captured.err
+
+    def test_dump_h_capped_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the --dump-h size check")
+
+        monkeypatch.setattr(cli_module, "_execute", no_work)
+        monkeypatch.setattr(cli_module, "build_effective", no_work)
+        n = MAX_DUMP_H_QUBITS + 1
+        cfg = write_config(
+            tmp_path, {"protocol": "cluster", "N": n, "lambdas": 1.0, "kappa": 0.0}
+        )
+        dump = tmp_path / "h.txt"
+        code = main(["run", "--config", cfg, "--dump-h", str(dump)])
+        assert code == 1
+        assert "--dump-h" in capsys.readouterr().err
+        assert not dump.exists()
 
     def test_wstate_feasibility_numbers(self, tmp_path, capsys):
         cfg = write_config(
@@ -275,6 +336,78 @@ class TestSweepCommand:
             return [",".join(r.split(",")[:5] + r.split(",")[6:]) for r in rows]
 
         assert mask_runtime(a) == mask_runtime(b)
+
+    def test_non_finite_input_rows_are_errors(self, tmp_path, capsys):
+        out_csv = tmp_path / "nan.csv"
+        doc = {
+            "protocol": "cluster",
+            "N": 2,
+            "lambdas": float("nan"),
+            "kappa": 0.0,
+            "sweep": {
+                "kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2},
+                "N_list": [2, 40],
+            },
+            "output": str(out_csv),
+        }
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        rows = [l.split(",") for l in out_csv.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 4
+        assert all(r[6] == "error" for r in rows)
+
+    @staticmethod
+    def recording_pool(monkeypatch, cpu_count):
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpu_count)
+        return created
+
+    def sweep_with_jobs(self, tmp_path, jobs, steps):
+        doc = {
+            "protocol": "cluster",
+            "N": 2,
+            "lambdas": 1.0,
+            "kappa": 0.0,
+            "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": steps}},
+        }
+        cfg = write_config(tmp_path, doc)
+        return main(["sweep", "--config", cfg, "--output", str(tmp_path / "j.csv"),
+                     "--jobs", str(jobs)])
+
+    @pytest.mark.parametrize("jobs, cpus, steps, workers", [
+        (64, 4, 8, [4]),        # capped at the CPU count
+        (64, 16, 3, [3]),       # capped at the task count
+        (2, 16, 8, [2]),        # as asked
+        (64, None, 8, []),      # unknown CPU count: serial, no pool
+        (1, 16, 8, []),         # serial, no pool
+    ])
+    def test_jobs_capped(self, tmp_path, capsys, monkeypatch, jobs, cpus, steps, workers):
+        created = self.recording_pool(monkeypatch, cpus)
+        assert self.sweep_with_jobs(tmp_path, jobs, steps) == 0
+        assert created == workers
+        assert "rows=%d" % steps in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
+        created = self.recording_pool(monkeypatch, 4)
+        assert self.sweep_with_jobs(tmp_path, jobs, 3) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert created == []
+        assert not (tmp_path / "j.csv").exists()
 
     def test_out_of_regime_points_recorded_not_fatal(self, tmp_path, capsys):
         out_csv = tmp_path / "far.csv"

@@ -10,6 +10,7 @@ from cavity_entangler import (
     ThreeLevelModel,
     build_effective,
     build_full_rotated,
+    build_single_excitation,
     effective_coupling,
     excitation_operator,
     kappa_from_quality,
@@ -35,6 +36,37 @@ class TestEffectiveModel:
 
     def test_inactive_coupling_may_be_anything(self):
         EffectiveModel((1.0, -3.0), 0.0, active={1})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ArgumentError):
+            EffectiveModel((1.0, 1.0), bad)
+        with pytest.raises(ArgumentError):
+            EffectiveModel((1.0, bad), 0.01)
+        with pytest.raises(ArgumentError):
+            EffectiveModel((1.0, bad), 0.01, active={1})
+
+
+class TestBuildSingleExcitation:
+    @staticmethod
+    def single_excitation_indices(n):
+        # |1_j>|0>_c for j = 1..n, then |0...0>|1>_c; cavity innermost
+        return [(1 << (n - j)) * 2 for j in range(1, n + 1)] + [1]
+
+    def test_equals_dense_restriction_exactly(self, rng):
+        for n in range(1, 7):
+            for active in (set(range(1, n + 1)), {1}, set(range(2, n + 1))):
+                lams = tuple(rng.uniform(0.5, 2.0, n))
+                model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams), active)
+                idx = self.single_excitation_indices(n)
+                dense = build_effective(model, n, 2).matrix[np.ix_(idx, idx)]
+                block = build_single_excitation(model, n)
+                assert np.array_equal(block.matrix, dense)
+                assert block.hermitian_flag == (model.kappa == 0)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ArgumentError):
+            build_single_excitation(EffectiveModel((1.0, 1.0), 0.0), 3)
 
 
 class TestBuildEffective:

@@ -83,6 +83,17 @@ class TestEvolve:
             evolve(OperatorMatrix(bad, True), make_basis_state([0], 0, 2), 1.0)
 
 
+class TestBlockEvolution:
+    @pytest.mark.parametrize("opts, tol", [(PropagatorOptions(), 1e-14), (RK_OPTS, 1e-9)])
+    def test_block_matches_per_column(self, rng, opts, tol):
+        h = build_effective(EffectiveModel((1.3, 0.8), 0.07), 2, 2).matrix
+        block = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        out = evolve_vector(h, block, 1.7, opts)
+        for k in range(block.shape[1]):
+            column = evolve_vector(h, block[:, k], 1.7, opts)
+            assert np.max(np.abs(out[:, k] - column)) <= tol
+
+
 class TestStepSequence:
     def test_empty_sequence(self, rng):
         psi = random_state(rng, 1)

@@ -27,7 +27,12 @@ from cavity_entangler import (
     w_initial_state,
     w_target,
 )
+from cavity_entangler import PropagatorOptions, w_solve_lambda1
 from cavity_entangler.protocols import CAVITY_TOL
+
+from conftest import oracle_cluster_protocol, oracle_evolve, oracle_hamiltonian
+
+RK_OPTS = PropagatorOptions(method="adaptive-integrator")
 
 
 def fold_cluster(model, n):
@@ -234,6 +239,58 @@ class TestWRun:
             photon.append(float(np.vdot(out.amplitudes, n_op @ out.amplitudes).real))
         leaked = kappa * np.trapezoid(photon, times)
         assert norms[0] - norms[-1] == pytest.approx(leaked, rel=1e-6)
+
+
+class TestNumericOracle:
+    """The structured numeric executors against the dense conftest oracle."""
+
+    @pytest.mark.parametrize("opts", [None, RK_OPTS], ids=["expm", "dopri5"])
+    def test_cluster_matches_dense_oracle(self, rng, opts):
+        for n in range(2, 7):
+            for _ in range(2):
+                lams = tuple(rng.uniform(0.5, 2.0, n))
+                kappa = float(rng.uniform(0.0, 0.1)) * min(lams)
+                state, report = run_cluster(EffectiveModel(lams, kappa), n, "numeric", opts)
+                joint = oracle_cluster_protocol(lams, kappa).reshape(-1, 2)
+                assert np.max(np.abs(state.amplitudes - joint[:, 0])) <= 1e-10
+                assert report.details["cavity_residual"] == pytest.approx(
+                    np.linalg.norm(joint[:, 1]), abs=1e-10)
+
+    def test_w_matches_dense_oracle(self, rng):
+        for n in range(2, 7):
+            rest = tuple(rng.uniform(0.5, 2.0, n - 1))
+            kappa = float(rng.uniform(0.0, 0.1)) * min(rest)
+            sol = w_solve_lambda1(rest, kappa)
+            lams = (sol.lambda1,) + rest
+            state, report = run_w(EffectiveModel(lams, kappa), n, "numeric")
+            h = oracle_hamiltonian(lams, kappa, set(range(1, n + 1)))
+            joint = oracle_evolve(h, w_initial_state(n).amplitudes, sol.duration)
+            grid = joint.reshape(2, -1, 2)             # (qubit 1, rest, photon)
+            assert np.max(np.abs(state.amplitudes - grid[0, :, 0])) <= 1e-10
+            assert report.details["qubit1_residual"] == pytest.approx(
+                np.linalg.norm(grid[1]), abs=1e-12)
+            assert report.details["cavity_residual"] == pytest.approx(
+                np.linalg.norm(grid[:, :, 1]), abs=1e-12)
+
+    def test_cluster_modes_agree_at_sixteen_qubits(self, rng):
+        n = 16
+        lams = tuple(rng.uniform(0.5, 2.0, n))
+        model = EffectiveModel(lams, 0.08 * min(lams))
+        state_a, rep_a = run_cluster(model, n, "analytic")
+        state_n, rep_n = run_cluster(model, n, "numeric")
+        assert abs(rep_a.fidelity - rep_n.fidelity) <= 1e-12
+        assert abs(rep_a.success_probability - rep_n.success_probability) <= 1e-12
+        assert np.linalg.norm(state_a.amplitudes - state_n.amplitudes) <= 1e-10
+
+    def test_numeric_mode_uses_no_closed_form_amplitudes(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric mode called a closed-form amplitude function")
+
+        for name in ("_branch_coefficients", "single_step_map", "w_amplitudes",
+                     "cluster_analytic"):
+            monkeypatch.setattr(analytic, name, forbidden)
+        run_cluster(EffectiveModel((1.0, 1.4, 0.9), 0.05), 3, "numeric")
+        run_w(EffectiveModel((1.0, 1.0, 1.3), 0.05), 3, "numeric")
 
 
 class TestInjectPhaseErrors:

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from cavity_entangler import (
     ArgumentError,
+    EffectiveModel,
     FactorizationError,
     StateVector,
     TruncationError,
     apply_sigma_z,
+    build_effective,
     factor_out_cavity,
     inner,
     make_basis_state,
     superpose,
 )
-from cavity_entangler.statespace import BasisLabel, state_dump_lines
+from cavity_entangler.statespace import BasisLabel, matrix_dump_lines, state_dump_lines
 
 
 def random_state(rng, n, cutoff=2):
@@ -186,6 +188,22 @@ class TestDumpFormat:
     def test_seventeen_digit_amplitudes(self):
         s = StateVector(np.array([1 / 3, 0, 0, 0], complex), 1, 2)
         assert state_dump_lines(s) == ["0 0 0.33333333333333331 0"]
+
+    def test_matrix_dump_matches_elementwise_loop(self):
+        def loop_lines(m):
+            lines = []
+            for row in range(m.shape[0]):
+                for col in range(m.shape[1]):
+                    v = m[row, col]
+                    if v == 0:
+                        continue
+                    lines.append(f"{row} {col} {v.real:.17g} {v.imag:.17g}")
+            return lines
+
+        h = build_effective(EffectiveModel((1.0 / 3.0, 0.7, 1.9), 0.03), 3, 2).matrix
+        assert "\n".join(matrix_dump_lines(h)) == "\n".join(loop_lines(h))
+        real = np.array([[0.0, -0.0, 2.5], [1 / 7, 0.0, 0.0]])
+        assert matrix_dump_lines(real) == loop_lines(real) == ["0 2 2.5 0", "1 0 0.14285714285714285 0"]
 
 
 @settings(max_examples=30, deadline=None)
