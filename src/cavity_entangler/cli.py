@@ -61,6 +61,8 @@ EXIT_VALIDATE = 4
 
 # --dump-h writes dense 2^(N+1) x 2^(N+1) matrices; N = 10 is 64 MiB per matrix
 MAX_DUMP_H_QUBITS = 10
+# configs hold N couplings, and the recursion's 3x3 maps take 144 bytes per qubit
+MAX_QUBITS = 10**6
 
 CSV_HEADER = "protocol,N,kappa_over_lambda,fidelity,success_probability,runtime_s,status"
 
@@ -78,10 +80,18 @@ _FREQ_UNITS = {
 }
 
 
+def _to_float(number, value) -> float:
+    """float(number), with any failure reported against the config value."""
+    try:
+        return float(number)
+    except (TypeError, ValueError, OverflowError):
+        raise ArgumentError(f"cannot parse number {value!r}") from None
+
+
 def parse_frequency(value) -> float:
     """Angular frequency in rad/s from a number or a suffixed string."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return _to_float(value, value)
     if isinstance(value, str):
         m = re.fullmatch(r"\s*([0-9eE+\-.]+)\s*([a-zA-Z/]+)\s*", value)
         if not m:
@@ -91,11 +101,7 @@ def parse_frequency(value) -> float:
             raise ArgumentError(
                 f"unknown frequency unit {m.group(2)!r} (use rad/s, Hz, kHz, MHz, GHz)"
             )
-        try:
-            num = float(m.group(1))
-        except ValueError as exc:
-            raise ArgumentError(f"cannot parse frequency {value!r}") from exc
-        return num * _FREQ_UNITS[unit]
+        return _to_float(m.group(1), value) * _FREQ_UNITS[unit]
     raise ArgumentError(f"frequency must be a number or string, got {type(value).__name__}")
 
 
@@ -105,7 +111,7 @@ def parse_plain(value) -> float:
         m = re.fullmatch(r"\s*([0-9eE+\-.]+)\s*([a-zA-Z/]*)\s*", value)
         if not m:
             raise ArgumentError(f"cannot parse number {value!r}")
-        num = float(m.group(1))
+        num = _to_float(m.group(1), value)
         unit = m.group(2).lower()
         if unit in ("", None):
             return num
@@ -113,7 +119,21 @@ def parse_plain(value) -> float:
         if scale is None:
             raise ArgumentError(f"unknown unit {m.group(2)!r}")
         return num * scale
-    return float(value)
+    return _to_float(value, value)
+
+
+def _parse_integer(value, name: str) -> int:
+    """An integral count: an int, an integral float or a numeric string; never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, (float, str)):
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if number.is_integer():
+            return int(number)
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -134,38 +154,108 @@ class RunConfig:
 
 def _resolve_lambdas(raw, count: int) -> tuple:
     if isinstance(raw, dict):
+        missing = sorted({"g", "omega", "delta"} - raw.keys())
+        if missing:
+            raise ArgumentError(f"coupling triple is missing {', '.join(missing)}")
         lam = effective_coupling(
             parse_frequency(raw["g"]),
             parse_frequency(raw["omega"]),
             parse_frequency(raw["delta"]),
         )
-        return (lam,) * count
-    if isinstance(raw, (list, tuple)):
+        lams = (lam,) * count
+    elif isinstance(raw, (list, tuple)):
         lams = tuple(parse_frequency(v) for v in raw)
         if len(lams) != count:
             raise ArgumentError(f"expected {count} couplings, got {len(lams)}")
-        return lams
-    return (parse_frequency(raw),) * count
+    else:
+        lams = (parse_frequency(raw),) * count
+    if min(lams) <= 0:
+        raise ArgumentError("couplings must be > 0")
+    return lams
+
+
+def _couplings(lambdas: tuple, count: int) -> tuple:
+    """The first ``count`` couplings; a shorter tuple is one coupling, broadcast.
+
+    ``config_from_dict`` refuses per-qubit lists shorter than the largest N,
+    so the broadcast branch only sees equal couplings.
+    """
+    return lambdas[:count] if len(lambdas) >= count else (lambdas[0],) * count
+
+
+def _qubit_count(value, name: str) -> int:
+    n = _parse_integer(value, name)
+    if not 2 <= n <= MAX_QUBITS:
+        raise ArgumentError(f"{name} must be in 2..{MAX_QUBITS}, got {n}")
+    return n
+
+
+def _parse_sweep(sweep, n: int) -> dict:
+    """The sweep section with every field parsed: grid floats, step and N counts."""
+    if not isinstance(sweep, dict):
+        raise ArgumentError("sweep must be an object")
+    grid = sweep.get("kappa_over_lambda")
+    if not isinstance(grid, dict) or not {"start", "stop", "steps"} <= grid.keys():
+        raise ArgumentError("sweep.kappa_over_lambda needs start/stop/steps >= 1")
+    steps = _parse_integer(grid["steps"], "sweep.kappa_over_lambda.steps")
+    if steps < 1:
+        raise ArgumentError("sweep.kappa_over_lambda needs start/stop/steps >= 1")
+    start, stop = (_to_float(grid[k], grid[k]) for k in ("start", "stop"))
+    if not 0 <= start <= stop < math.inf:
+        raise ArgumentError("sweep grid must be finite, non-negative and increasing")
+    n_list = sweep.get("N_list", [n])
+    if not isinstance(n_list, list) or not n_list:
+        raise ArgumentError("sweep.N_list must be a non-empty increasing list of N >= 2")
+    n_list = [_qubit_count(m, "sweep.N_list entry") for m in n_list]
+    if n_list != sorted(n_list):
+        raise ArgumentError("sweep.N_list must be a non-empty increasing list of N >= 2")
+    return {"kappa_over_lambda": {"start": start, "stop": stop, "steps": steps},
+            "N_list": n_list}
+
+
+# validate's optional sections: the fields read and how each is parsed
+_EXTRA_FIELDS = {
+    "three_level": {"g": parse_frequency, "omega": parse_frequency, "delta": parse_frequency},
+    "feasibility": {"g": parse_frequency, "omega": parse_frequency, "delta": parse_frequency,
+                    "Q": parse_plain, "nu_c": parse_plain},
+}
+
+
+def _parse_extras(doc: dict) -> dict:
+    extras = {}
+    for section, fields in _EXTRA_FIELDS.items():
+        if section not in doc:
+            continue
+        raw = doc[section]
+        if not isinstance(raw, dict):
+            raise ArgumentError(f"{section} must be an object")
+        values = {k: parse(raw[k]) for k, parse in fields.items() if k in raw}
+        if not all(0 < v < math.inf for v in values.values()):
+            raise ArgumentError(f"{section} values must be finite and > 0")
+        extras[section] = values
+    return extras
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad JSON or UTF-8
         raise ArgumentError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(doc)
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    """Parse and check a config document; every defect raises ArgumentError."""
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"config must be a JSON object, got {type(doc).__name__}")
     protocol = doc.get("protocol")
     if protocol not in ("cluster", "wstate"):
         raise ArgumentError(f"protocol must be 'cluster' or 'wstate', got {protocol!r}")
-    n = int(doc.get("N", 0))
-    if n < 2:
-        raise ArgumentError(f"N must be >= 2, got {n}")
+    n = _qubit_count(doc.get("N", 0), "N")
     count = n if protocol == "cluster" else n - 1
-    lambdas = _resolve_lambdas(doc.get("lambdas", 1.0), count)
+    raw_lambdas = doc.get("lambdas", 1.0)
+    lambdas = _resolve_lambdas(raw_lambdas, count)
 
     has_kappa = "kappa" in doc
     has_q = "Q" in doc or "nu_c" in doc
@@ -186,17 +276,18 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     sweep = doc.get("sweep")
     if sweep is not None:
-        grid = sweep.get("kappa_over_lambda")
-        if not grid or int(grid.get("steps", 0)) < 1:
-            raise ArgumentError("sweep.kappa_over_lambda needs start/stop/steps >= 1")
-        if float(grid["stop"]) < float(grid["start"]) or float(grid["start"]) < 0:
-            raise ArgumentError("sweep grid must be non-negative and increasing")
-        n_list = sweep.get("N_list", [n])
-        if not n_list or any(int(m) < 2 for m in n_list) or list(n_list) != sorted(n_list):
-            raise ArgumentError("sweep.N_list must be a non-empty increasing list of N >= 2")
+        sweep = _parse_sweep(sweep, n)
+        n_max = sweep["N_list"][-1]
+        needed = n_max if protocol == "cluster" else n_max - 1
+        if isinstance(raw_lambdas, (list, tuple)) and len(lambdas) < needed:
+            raise ArgumentError(
+                f"{len(lambdas)} per-qubit couplings do not cover sweep.N_list up to N = {n_max}"
+            )
 
-    extras = {k: doc[k] for k in ("three_level", "feasibility") if k in doc}
-    return RunConfig(protocol, n, lambdas, kappa, mode, sweep, doc.get("output"), extras)
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ArgumentError(f"output must be a path string, got {output!r}")
+    return RunConfig(protocol, n, lambdas, kappa, mode, sweep, output, _parse_extras(doc))
 
 
 def _fmt(value: float) -> str:
@@ -210,10 +301,9 @@ def _fmt(value: float) -> str:
 def _execute(config: RunConfig, n: int, kappa: float):
     """Run one protocol instance; returns (register, report)."""
     if config.protocol == "cluster":
-        model = EffectiveModel(config.lambdas[:n] if len(config.lambdas) >= n
-                               else (config.lambdas[0],) * n, kappa)
+        model = EffectiveModel(_couplings(config.lambdas, n), kappa)
         return protocols.run_cluster(model, n, config.mode)
-    rest = config.lambdas[: n - 1] if len(config.lambdas) >= n - 1 else (config.lambdas[0],) * (n - 1)
+    rest = _couplings(config.lambdas, n - 1)
     seed = math.sqrt(sum(x * x for x in rest))
     model = EffectiveModel((seed,) + tuple(rest), kappa)
     return protocols.run_w(model, n, config.mode)
@@ -304,20 +394,12 @@ def _sweep_point(task: tuple) -> tuple:
             )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RegimeWarning)
-            if protocol == "cluster":
-                lams = lambdas[:n] if len(lambdas) >= n else (lambdas[0],) * n
-                kappa = ratio * min(lams)
-                if n > analytic.MAX_DENSE_QUBITS:
-                    fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
-                else:
-                    cfg = RunConfig(protocol, n, lams, kappa, mode)
-                    _, report = _execute(cfg, n, kappa)
-                    fid, p = report.fidelity, report.success_probability
+            lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
+            kappa = ratio * min(lams)
+            if protocol == "cluster" and n > analytic.MAX_DENSE_QUBITS:
+                fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
             else:
-                rest = lambdas[: n - 1] if len(lambdas) >= n - 1 else (lambdas[0],) * (n - 1)
-                kappa = ratio * min(rest)
-                cfg = RunConfig(protocol, n, rest, kappa, mode)
-                _, report = _execute(cfg, n, kappa)
+                _, report = _execute(RunConfig(protocol, n, lams, kappa, mode), n, kappa)
                 fid, p = report.fidelity, report.success_probability
         if not (math.isfinite(fid) and math.isfinite(p)):
             raise NumericError(f"non-finite result: F={fid}, P={p}")
@@ -343,8 +425,8 @@ def cmd_sweep(config: RunConfig, args) -> int:
     if config.sweep is None:
         raise ArgumentError("config has no 'sweep' section")
     grid = config.sweep["kappa_over_lambda"]
-    ratios = np.linspace(float(grid["start"]), float(grid["stop"]), int(grid["steps"]))
-    n_list = [int(m) for m in config.sweep.get("N_list", [config.n])]
+    ratios = np.linspace(grid["start"], grid["stop"], grid["steps"])
+    n_list = config.sweep["N_list"]
     tasks = [
         (config.protocol, n, float(r), config.lambdas, config.mode, args.fidelity_convention)
         for n in n_list
@@ -506,7 +588,7 @@ def cmd_validate(config: Optional[RunConfig], args) -> int:
             print(f"check={name} status={'pass' if ok else 'fail'} residual={residual:.3e}")
 
     tl = dict(THREE_LEVEL_DEFAULTS)
-    tl.update({k: parse_frequency(v) for k, v in extras.get("three_level", {}).items()})
+    tl.update(extras.get("three_level", {}))
     ratio = max(tl["g"], tl["omega"]) / tl["delta"]
     fid = three_level_transfer_fidelity(tl["g"], tl["omega"], tl["delta"])
     if ratio > ADIABATIC_MAX_RATIO:
@@ -519,13 +601,7 @@ def cmd_validate(config: Optional[RunConfig], args) -> int:
     print(f"check=three_level status={status} fidelity={fid:.9f} ratio={ratio:.4g}")
 
     fz = dict(FEASIBILITY_DEFAULTS)
-    raw_fz = extras.get("feasibility", {})
-    for key in ("g", "omega", "delta"):
-        if key in raw_fz:
-            fz[key] = parse_frequency(raw_fz[key])
-    for key in ("Q", "nu_c"):
-        if key in raw_fz:
-            fz[key] = parse_plain(raw_fz[key])
+    fz.update(extras.get("feasibility", {}))
     lam = effective_coupling(fz["g"], fz["omega"], fz["delta"])
     kappa = kappa_from_quality(fz["Q"], fz["nu_c"])
     print(f"lambda_effective={lam:.6g}")

@@ -51,17 +51,18 @@ class EffectiveModel:
             )
         if self.kappa < 0:
             raise ArgumentError(f"kappa must be >= 0, got {self.kappa}")
-        active = self.active
-        if active is None:
-            active = frozenset(range(1, len(lambdas) + 1))
+        n = len(lambdas)
+        if self.active is None:
+            active = frozenset(range(1, n + 1))
         else:
-            active = frozenset(int(j) for j in active)
+            active = frozenset(map(int, self.active))
+            if active and not (1 <= min(active) and max(active) <= n):
+                raise ArgumentError(f"active set {sorted(active)} outside 1..{n}")
         object.__setattr__(self, "active", active)
-        if any(j < 1 or j > len(lambdas) for j in active):
-            raise ArgumentError(f"active set {sorted(active)} outside 1..{len(lambdas)}")
-        if any(lambdas[j - 1] <= 0 for j in active):
+        lam_min = self._min_active_coupling()
+        if lam_min <= 0:
             raise ArgumentError("all active couplings must be > 0")
-        ratio = self.kappa_over_lambda
+        ratio = self.kappa / lam_min
         if ratio > REGIME_MAX_KAPPA_OVER_LAMBDA:
             warnings.warn(
                 f"kappa/min(lambda) = {ratio:.3g} exceeds the supported regime "
@@ -76,9 +77,13 @@ class EffectiveModel:
 
     @property
     def kappa_over_lambda(self) -> float:
-        if not self.active:
-            return 0.0
-        return self.kappa / min(self.lambdas[j - 1] for j in self.active)
+        return self.kappa / self._min_active_coupling()
+
+    def _min_active_coupling(self) -> float:
+        """Smallest active coupling; inf when no qubit is active."""
+        if len(self.active) == len(self.lambdas):   # in range and distinct: all active
+            return min(self.lambdas)
+        return min((self.lambdas[j - 1] for j in self.active), default=math.inf)
 
     def with_active(self, active) -> "EffectiveModel":
         return EffectiveModel(self.lambdas, self.kappa, frozenset(active))

@@ -24,6 +24,7 @@ from cavity_entangler import (
     w_solve_lambda1,
     w_target,
 )
+from cavity_entangler import analytic
 from cavity_entangler.analytic import DRAIN, LOAD, _branch_coefficients
 
 from conftest import (
@@ -249,7 +250,7 @@ class TestClusterFidelityRecursive:
         assert best < 1e-3
 
     def test_thousands_of_qubits_stay_finite(self):
-        # the per-step rescaling keeps the scalars bounded far beyond the
+        # the power-of-two rescaling keeps the scalars bounded far beyond the
         # range where the raw recursion would overflow
         model = EffectiveModel((1.0,) * 2048, 0.01)
         f, p = cluster_fidelity_recursive(model, 2048)
@@ -271,6 +272,92 @@ class TestClusterFidelityRecursive:
             assert all(a >= b for a, b in zip(ps, ps[1:]))
         for i in range(len(ratios)):
             assert table[2][i][0] >= table[3][i][0] >= table[4][i][0]
+
+    @pytest.mark.parametrize("n", list(range(2, 65)) + [1000, 4800, 20000])
+    def test_matches_sequential_reference(self, rng, n):
+        tiny = np.finfo(float).tiny
+        for lams in ((1.3,) * n, tuple(rng.uniform(0.5, 2.0, n))):
+            for ratio in (0.0, float(rng.uniform(0.0, 0.1)), 0.0999):
+                kappa = ratio * min(lams)
+                f, p = cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
+                f_ref, p_ref = sequential_recursion(lams, kappa)
+                assert f_ref >= tiny
+                assert f == pytest.approx(f_ref, rel=1e-11, abs=0.0)
+                if p_ref >= tiny:
+                    assert p == pytest.approx(p_ref, rel=1e-11, abs=0.0)
+
+    def test_no_underflow_at_twenty_thousand_qubits(self):
+        # F is 2.62338579342156e-11 in a 120-bit evaluation of the recursion;
+        # P is about 9e-678, below the double range, so 0.0 is correctly rounded
+        n = 20000
+        f, p = cluster_fidelity_recursive(EffectiveModel((1.0,) * n, 0.1), n)
+        assert f == pytest.approx(2.62338579342156e-11, rel=1e-11, abs=0.0)
+        assert p == 0.0
+
+    def test_no_decay_is_exact_at_twenty_thousand_qubits(self):
+        n = 20000
+        f, p = cluster_fidelity_recursive(EffectiveModel((0.7,) * n, 0.0), n)
+        assert f == 1.0 and p == 1.0
+
+    def test_one_step_params_call_per_distinct_coupling(self, monkeypatch):
+        calls = []
+
+        def counting(lam, kappa, role=LOAD):
+            calls.append(role)
+            return step_params(lam, kappa, role)
+
+        monkeypatch.setattr(analytic, "step_params", counting)
+        n = 20000
+        cluster_fidelity_recursive(EffectiveModel((1.0,) * n, 0.05), n)
+        assert sorted(calls) == [DRAIN, LOAD]
+
+    def test_cluster_analytic_bit_identical_to_per_step_coefficients(self, rng, monkeypatch):
+        models = []
+        for n in range(2, 17):
+            lams = tuple(rng.choice([0.8, 1.0, 1.7], n))     # repeats exercise the dedupe
+            models.append((EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * 0.8), n))
+        batched = [cluster_analytic(model, n) for model, n in models]
+
+        def per_step(model, n):
+            rows = []
+            for lam in model.lambdas[: n - 1]:
+                p = step_params(lam, model.kappa, LOAD)
+                rows.append((p.swap_amp, p.double_amp, model.kappa * p.swap_amp / (2.0 * lam)))
+            drain = step_params(model.lambdas[n - 1], model.kappa, DRAIN)
+            return np.array(rows), np.arange(n - 1), drain.swap_amp
+
+        monkeypatch.setattr(analytic, "_step_coefficients", per_step)
+        for (model, n), (state, report) in zip(models, batched):
+            ref_state, ref_report = cluster_analytic(model, n)
+            assert np.array_equal(state.amplitudes, ref_state.amplitudes)
+            assert report.fidelity == ref_report.fidelity
+            assert report.success_probability == ref_report.success_probability
+            assert report.per_step == ref_report.per_step
+
+
+def sequential_recursion(lams, kappa):
+    """(F, P) from the six-scalar loop, one step at a time, each scalar family
+    rescaled by an exact power of two after every step."""
+    s = u = p = q = g = gt = 1.0
+    e_su = e_pq = 0
+    for lam in lams[:-1]:
+        step = step_params(lam, kappa, LOAD)
+        a, b = step.swap_amp, step.double_amp
+        d = kappa * a / (2.0 * lam)
+        s, u, gt = (s + a * u) / 2.0, (a * s + b * u + d * gt) / 2.0, (-a * s + b * u - d * gt) / 2.0
+        p, q, g = (
+            (p + a * a * q) / 2.0,
+            (a * a * p + (b * b + d * d) * q + 2.0 * a * d * g) / 2.0,
+            (-a * p + a * b * q - d * g) / 2.0,
+        )
+        _, k = math.frexp(max(abs(s), abs(u), abs(gt)))
+        s, u, gt, e_su = math.ldexp(s, -k), math.ldexp(u, -k), math.ldexp(gt, -k), e_su + k
+        _, k = math.frexp(max(abs(p), abs(q), abs(g)))
+        p, q, g, e_pq = math.ldexp(p, -k), math.ldexp(q, -k), math.ldexp(g, -k), e_pq + k
+    drain = step_params(lams[-1], kappa, DRAIN).swap_amp
+    num = s + drain * u
+    den = p + drain * drain * q
+    return math.ldexp(0.5 * num * num / den, 2 * e_su - e_pq), math.ldexp(0.5 * den, e_pq)
 
 
 def _timed(fn):

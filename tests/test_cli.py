@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cavity_entangler.cli as cli_module
 from cavity_entangler import ArgumentError, kappa_from_quality
 from cavity_entangler.cli import (
     CSV_HEADER,
     MAX_DUMP_H_QUBITS,
+    RunConfig,
     config_from_dict,
     main,
     parse_frequency,
@@ -70,6 +73,102 @@ class TestConfigParsing:
     def test_bad_protocol(self):
         with pytest.raises(ArgumentError):
             config_from_dict({"protocol": "ghz", "N": 2, "lambdas": 1.0, "kappa": 0})
+
+    @pytest.mark.parametrize("value", [4, 4.0, "4"])
+    def test_integral_n_accepted(self, value):
+        cfg = config_from_dict({"protocol": "cluster", "N": value, "lambdas": 1.0, "kappa": 0})
+        assert cfg.n == 4 and cfg.lambdas == (1.0,) * 4
+
+    def test_per_qubit_lambdas_covering_the_sweep_accepted(self):
+        cfg = config_from_dict(
+            {"protocol": "cluster", "N": 5, "lambdas": [1.0, 2.0, 3.0, 4.0, 5.0], "kappa": 0,
+             "sweep": {"kappa_over_lambda": {"start": 0, "stop": "0.1", "steps": 2.0},
+                       "N_list": [3, "5"]}}
+        )
+        assert cfg.sweep == {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2},
+                             "N_list": [3, 5]}
+
+
+_GRID = {"start": 0.0, "stop": 0.1, "steps": 2}
+_BAD_CONFIGS = {
+    "unparsable-Q": {"protocol": "cluster", "N": 4, "lambdas": 1.0, "Q": "1e", "nu_c": 4e10},
+    "word-N": {"protocol": "cluster", "N": "four", "lambdas": 1.0, "kappa": 0.0},
+    "fractional-N": {"protocol": "cluster", "N": 4.9, "lambdas": 1.0, "kappa": 0.0},
+    "top-level-list": [{"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": 0.0}],
+    "grid-without-stop": {"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": 0.0,
+                          "sweep": {"kappa_over_lambda": {"start": 0.0, "steps": 2}}},
+    "bad-N_list-entry": {"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": 0.0,
+                         "sweep": {"kappa_over_lambda": _GRID, "N_list": [4, "x"]}},
+    "short-cluster-lambdas": {"protocol": "cluster", "N": 3, "lambdas": [1.0, 2.0, 3.0],
+                              "kappa": 0.0,
+                              "sweep": {"kappa_over_lambda": _GRID, "N_list": [3, 5]}},
+    "short-wstate-lambdas": {"protocol": "wstate", "N": 3, "lambdas": [1.0, 2.0],
+                             "kappa": 0.0,
+                             "sweep": {"kappa_over_lambda": _GRID, "N_list": [3, 4]}},
+    "zero-coupling": {"protocol": "cluster", "N": 4, "lambdas": 0, "kappa": 0.0},
+    "huge-N": {"protocol": "cluster", "N": 10**30, "lambdas": 1.0, "kappa": 0.0},
+    "non-string-output": {"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": 0.0,
+                          "output": 5},
+    "non-object-three_level": {"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": 0.0,
+                               "three_level": [1.0]},
+    "zero-detuning": {"protocol": "cluster", "N": 4, "lambdas": 1.0, "kappa": 0.0,
+                      "three_level": {"delta": 0}},
+}
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+    @pytest.mark.parametrize("doc", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
+    def test_bad_config_exits_1(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, doc)
+        code = main([command, "--config", cfg, "--output", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000],
+                             ids=["bad-utf8", "deep-nesting"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_FIELD = _JSON | st.sampled_from([
+    0, 2, 4, 30, "4", 4.0, 4.9, -1, "four", "1e", "10 MHz", "3 parsecs", float("inf"),
+    float("nan"), 10**7, [1.0, 2.0], [1.0] * 4, {"g": 1.8e8, "omega": 8.5e7, "delta": 1.5e9},
+    {"g": 1.0},
+])
+_SWEEP = _FIELD | st.fixed_dictionaries({}, optional={
+    "kappa_over_lambda": _FIELD | st.fixed_dictionaries(
+        {}, optional={"start": _FIELD, "stop": _FIELD, "steps": _FIELD}),
+    "N_list": st.lists(_FIELD, max_size=3),
+})
+_DOCUMENT = _JSON | st.fixed_dictionaries(
+    {"protocol": st.sampled_from(["cluster", "wstate"]) | _JSON,
+     "N": st.integers(2, 40) | _FIELD},
+    optional={key: _FIELD for key in ("lambdas", "kappa", "Q", "nu_c", "mode", "output",
+                                      "three_level", "feasibility")} | {"sweep": _SWEEP},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENT)
+def test_config_from_dict_returns_config_or_argument_error(doc):
+    try:
+        config = config_from_dict(doc)
+    except ArgumentError:
+        return
+    assert isinstance(config, RunConfig)
 
 
 class TestRunCommand:
