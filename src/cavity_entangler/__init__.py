@@ -55,6 +55,7 @@ from .protocols import (
 from .records import RunReport, Schedule
 from .statespace import (
     BasisLabel,
+    SingleExcitation,
     StateVector,
     apply_sigma_z,
     factor_out_cavity,
@@ -82,6 +83,7 @@ __all__ = [
     "RunReport",
     "Schedule",
     "SectorError",
+    "SingleExcitation",
     "StabilizerReport",
     "StateVector",
     "StepParams",

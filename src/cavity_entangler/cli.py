@@ -51,6 +51,7 @@ from .hamiltonian import (
     build_full_rotated,
     effective_coupling,
     kappa_from_quality,
+    out_of_regime,
 )
 
 EXIT_OK = 0
@@ -315,10 +316,15 @@ def cmd_run(config: RunConfig, args) -> int:
             f"--dump-h writes dense Hamiltonians and is capped at N = {MAX_DUMP_H_QUBITS}, "
             f"got N = {config.n}"
         )
-    ratio = config.kappa_over_lambda
-    if ratio > REGIME_MAX_KAPPA_OVER_LAMBDA:
+    register_qubits = config.n if config.protocol == "cluster" else config.n - 1
+    if args.dump_state and register_qubits > statespace.MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"--dump-state writes the dense register and is capped at "
+            f"{statespace.MAX_DENSE_QUBITS} register qubits, got {register_qubits}"
+        )
+    if out_of_regime(config.kappa, min(config.lambdas)):
         print(
-            f"error: kappa/lambda = {ratio:.6g} outside the validated regime "
+            f"error: kappa/lambda = {config.kappa_over_lambda:.6g} outside the validated regime "
             f"kappa/lambda <= {REGIME_MAX_KAPPA_OVER_LAMBDA}",
             file=sys.stderr,
         )
@@ -347,6 +353,8 @@ def cmd_run(config: RunConfig, args) -> int:
     print(f"P={report.success_probability:.12f}")
 
     if args.dump_state:
+        if config.protocol == "wstate":
+            register = register.to_dense()
         with open(args.dump_state, "w", encoding="utf-8") as fh:
             statespace.write_state_dump(register, fh)
         print(f"dump_state={args.dump_state}")

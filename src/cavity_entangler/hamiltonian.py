@@ -30,6 +30,15 @@ ADIABATIC_WARN_RATIO = 0.1
 ADIABATIC_MAX_RATIO = 0.2
 
 
+def out_of_regime(kappa: float, lam_min: float) -> bool:
+    """True when kappa / lam_min exceeds REGIME_MAX_KAPPA_OVER_LAMBDA.
+
+    Compared as a product, so a decay rate built as ``0.1 * lam`` is inside
+    the regime (the quotient can round to 0.10000000000000002).
+    """
+    return kappa > REGIME_MAX_KAPPA_OVER_LAMBDA * lam_min
+
+
 @dataclass(frozen=True)
 class EffectiveModel:
     """Per-qubit couplings lam_j and the cavity decay kappa for the exchange model."""
@@ -62,10 +71,9 @@ class EffectiveModel:
         lam_min = self._min_active_coupling()
         if lam_min <= 0:
             raise ArgumentError("all active couplings must be > 0")
-        ratio = self.kappa / lam_min
-        if ratio > REGIME_MAX_KAPPA_OVER_LAMBDA:
+        if out_of_regime(self.kappa, lam_min):
             warnings.warn(
-                f"kappa/min(lambda) = {ratio:.3g} exceeds the supported regime "
+                f"kappa/min(lambda) = {self.kappa / lam_min:.3g} exceeds the supported regime "
                 f"(<= {REGIME_MAX_KAPPA_OVER_LAMBDA}); results are not validated there",
                 RegimeWarning,
                 stacklevel=2,

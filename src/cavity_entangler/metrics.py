@@ -23,7 +23,9 @@ def fidelity(psi: StateVector, target: StateVector) -> float:
     """Normalized overlap |<target|psi>|^2 / (|psi|^2 |target|^2), in [0, 1].
 
     Invariant under global phases and under rescaling either argument; the
-    unnormalized convention survives only in success_probability.
+    unnormalized convention survives only in success_probability. Both
+    arguments are StateVectors or both are SingleExcitation registers (O(N));
+    a mix raises ArgumentError.
     """
     np_sq = psi.norm_sq()
     nt_sq = target.norm_sq()

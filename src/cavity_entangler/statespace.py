@@ -9,6 +9,10 @@ operations work on protocol outputs after the cavity has been factored out.
 States are unnormalized by design: non-Hermitian evolution shrinks the norm
 and the squared norm is the success probability. All values are immutable;
 every operation returns a new StateVector.
+
+A register known to hold exactly one excitation (the W protocol's output and
+target) is a ``SingleExcitation``: the amplitudes of |1_1>, ..., |1_m> only,
+O(m) in memory and in every metric, with ``to_dense()`` for the dense form.
 """
 from __future__ import annotations
 
@@ -19,8 +23,9 @@ import numpy as np
 
 from .errors import ArgumentError, CapacityError, FactorizationError, TruncationError
 
-MAX_DENSE_QUBITS = 24   # dense 2^N storage; larger registers go through the
-                        # O(N) recursion paths instead
+MAX_DENSE_QUBITS = 24   # dense 2^N storage; larger cluster registers go
+                        # through the O(N) recursion, W registers are
+                        # SingleExcitation at any size
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,59 @@ class StateVector:
         return self.amplitudes.reshape([2] * self.qubit_count + [self.fock_cutoff])
 
 
+@dataclass(frozen=True, eq=False)
+class SingleExcitation:
+    """A qubit register in the span of |1_1>, ..., |1_m> (no cavity factor).
+
+    ``amplitudes[k]`` is the amplitude of the ket with qubit k+1 excited and
+    every other qubit in |0>; all other amplitudes are zero.
+    """
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.array(self.amplitudes, dtype=complex)   # owned copy
+        if amps.ndim != 1 or amps.size < 1:
+            raise ArgumentError(f"need a non-empty amplitude vector, got shape {amps.shape}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    @property
+    def qubit_count(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def norm_sq(self) -> float:
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def amplitude(self, bits: Sequence[int], photon: int = 0) -> complex:
+        label = BasisLabel(tuple(bits), photon)
+        if len(label.qubit_bits) != self.qubit_count:
+            raise ArgumentError(
+                f"label has {len(label.qubit_bits)} bits, register has {self.qubit_count}"
+            )
+        if photon != 0:
+            raise TruncationError(f"photon number {photon} >= cutoff 1")
+        if sum(label.qubit_bits) != 1:
+            return 0j
+        return complex(self.amplitudes[label.qubit_bits.index(1)])
+
+    def to_dense(self) -> StateVector:
+        """The same register as a dense StateVector (fock_cutoff = 1)."""
+        m = self.qubit_count
+        if m > MAX_DENSE_QUBITS:
+            raise CapacityError(f"dense state vectors are capped at {MAX_DENSE_QUBITS} qubits")
+        dense = np.zeros(1 << m, dtype=complex)
+        dense[1 << np.arange(m - 1, -1, -1)] = self.amplitudes   # qubit 1 is the top bit
+        return StateVector(dense, m, 1)
+
+
 def make_basis_state(bits: Sequence[int], photon: int, cutoff: int) -> StateVector:
     """Unit-norm state with amplitude 1 on the single ket |bits>|photon>_c."""
     label = BasisLabel(tuple(bits), photon)
@@ -136,12 +194,21 @@ def superpose(terms: Iterable[tuple]) -> StateVector:
     return StateVector(out, first.qubit_count, first.fock_cutoff)
 
 
-def inner(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if (a.qubit_count, a.fock_cutoff) != (b.qubit_count, b.fock_cutoff):
+def inner(a, b) -> complex:
+    """<a|b>, conjugate-linear in the first argument.
+
+    Both arguments are StateVectors or both are SingleExcitation registers;
+    a mix raises ArgumentError.
+    """
+    if type(a) is not type(b):
         raise ArgumentError(
-            f"mismatched registers: ({a.qubit_count}, {a.fock_cutoff}) vs "
-            f"({b.qubit_count}, {b.fock_cutoff})"
+            f"mixed register types: {type(a).__name__} and {type(b).__name__}"
+        )
+    # for either type, qubit count and dimension fix the basis
+    if (a.qubit_count, a.dim) != (b.qubit_count, b.dim):
+        raise ArgumentError(
+            f"mismatched registers: {a.qubit_count} qubits, dimension {a.dim} vs "
+            f"{b.qubit_count} qubits, dimension {b.dim}"
         )
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 

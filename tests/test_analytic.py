@@ -273,10 +273,13 @@ class TestClusterFidelityRecursive:
         for i in range(len(ratios)):
             assert table[2][i][0] >= table[3][i][0] >= table[4][i][0]
 
-    @pytest.mark.parametrize("n", list(range(2, 65)) + [1000, 4800, 20000])
+    @pytest.mark.parametrize("n", list(range(2, 65)) + [1000, 4800, 20000, 100_000])
     def test_matches_sequential_reference(self, rng, n):
         tiny = np.finfo(float).tiny
-        for lams in ((1.3,) * n, tuple(rng.uniform(0.5, 2.0, n))):
+        cases = [(1.3,) * n, run_structured(rng, n)]
+        if n <= 20000:           # N-1 runs of length 1 cost the reference the most
+            cases.append(tuple(rng.uniform(0.5, 2.0, n)))
+        for lams in cases:
             for ratio in (0.0, float(rng.uniform(0.0, 0.1)), 0.0999):
                 kappa = ratio * min(lams)
                 f, p = cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
@@ -295,9 +298,30 @@ class TestClusterFidelityRecursive:
         assert p == 0.0
 
     def test_no_decay_is_exact_at_twenty_thousand_qubits(self):
-        n = 20000
-        f, p = cluster_fidelity_recursive(EffectiveModel((0.7,) * n, 0.0), n)
-        assert f == 1.0 and p == 1.0
+        for n in (20000, 10**6):
+            f, p = cluster_fidelity_recursive(EffectiveModel((0.7,) * n, 0.0), n)
+            assert f == 1.0 and p == 1.0
+
+    def test_one_map_pair_per_run_of_equal_couplings(self, rng, monkeypatch):
+        seen = []
+        real = analytic._chain_product
+
+        def recording(maps, exps):
+            seen.append(maps.shape)
+            return real(maps, exps)
+
+        monkeypatch.setattr(analytic, "_chain_product", recording)
+        for n, lams, runs in (
+            (20000, (1.0,) * 20000, 1),
+            (7, (1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 3.0), 3),      # the drain coupling is no run
+            (9, (1.0, 2.0) * 4 + (1.0,), 8),
+        ):
+            cluster_fidelity_recursive(EffectiveModel(lams, 0.05), n)
+            assert seen.pop() == (runs, 2, 3, 3)
+        lams = run_structured(rng, 5000)
+        cluster_fidelity_recursive(EffectiveModel(lams, 0.05), 5000)
+        runs = 1 + sum(a != b for a, b in zip(lams[:4998], lams[1:4999]))
+        assert seen.pop() == (runs, 2, 3, 3)
 
     def test_one_step_params_call_per_distinct_coupling(self, monkeypatch):
         calls = []
@@ -335,13 +359,24 @@ class TestClusterFidelityRecursive:
             assert report.per_step == ref_report.per_step
 
 
+def run_structured(rng, n):
+    """n couplings in runs of random length (1 to 2n/5), each run one random value."""
+    lams = []
+    while len(lams) < n:
+        lams += [float(rng.uniform(0.5, 2.0))] * int(rng.integers(1, max(2, 2 * n // 5)))
+    return tuple(lams[:n])
+
+
 def sequential_recursion(lams, kappa):
     """(F, P) from the six-scalar loop, one step at a time, each scalar family
     rescaled by an exact power of two after every step."""
     s = u = p = q = g = gt = 1.0
     e_su = e_pq = 0
+    load = {}
     for lam in lams[:-1]:
-        step = step_params(lam, kappa, LOAD)
+        if lam not in load:
+            load[lam] = step_params(lam, kappa, LOAD)
+        step = load[lam]
         a, b = step.swap_amp, step.double_amp
         d = kappa * a / (2.0 * lam)
         s, u, gt = (s + a * u) / 2.0, (a * s + b * u + d * gt) / 2.0, (-a * s + b * u - d * gt) / 2.0
@@ -440,6 +475,18 @@ class TestWAmplitudes:
 
 
 class TestWTarget:
+    def test_dense_form_is_the_dense_build(self, rng):
+        for m in range(1, 12):
+            rest = rng.uniform(0.5, 2.0, m)
+            kappa, t = float(rng.uniform(0.0, 0.2)), float(rng.uniform(0.1, 3.0))
+            ap = math.sqrt(math.fsum(x * x for x in rest))
+            dense = np.zeros(1 << m, dtype=complex)
+            for k, lam in enumerate(rest):
+                dense[1 << (m - 1 - k)] = math.exp(-kappa * t / 8.0) * lam / ap
+            target = w_target(tuple(rest), kappa, t)
+            assert target.dim == m
+            assert np.array_equal(target.to_dense().amplitudes, dense)
+
     def test_equal_couplings_uniform(self):
         s = w_target([1.0, 1.0, 1.0], 0.0, 1.0)
         nonzero = s.amplitudes[s.amplitudes != 0]

@@ -192,6 +192,15 @@ class TestRunCommand:
         assert code == 2
         assert "0.1" in err
 
+    def test_regime_edge_built_by_multiplication_runs(self, tmp_path, capsys):
+        lam = 3.0          # 0.1 * 3.0 / 3.0 rounds to 0.10000000000000002
+        assert 0.1 * lam / lam > 0.1
+        for kappa, code in ((0.1 * lam, 0), (math.nextafter(0.1 * lam, math.inf), 2)):
+            cfg = write_config(
+                tmp_path, {"protocol": "cluster", "N": 3, "lambdas": lam, "kappa": kappa}
+            )
+            assert main(["run", "--config", cfg]) == code
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.json")])
         assert code == 1
@@ -307,6 +316,34 @@ class TestRunCommand:
         mags = sorted(abs(float(l.split()[2])) for l in lines)
         assert mags == pytest.approx([0.5] * 4)
 
+    def test_wstate_dump_is_the_dense_register(self, tmp_path, capsys):
+        from cavity_entangler import EffectiveModel, run_w
+        from cavity_entangler.statespace import state_dump_lines
+
+        cfg = write_config(
+            tmp_path, {"protocol": "wstate", "N": 5, "lambdas": [1.0, 1.2, 0.8, 1.1],
+                       "kappa": 0.05}
+        )
+        dump = tmp_path / "state.txt"
+        assert main(["run", "--config", cfg, "--dump-state", str(dump)]) == 0
+        rest = (1.0, 1.2, 0.8, 1.1)
+        register, _ = run_w(EffectiveModel((math.sqrt(sum(x * x for x in rest)),) + rest, 0.05), 5)
+        assert dump.read_text() == "\n".join(state_dump_lines(register.to_dense())) + "\n"
+        assert [line.split()[0] for line in dump.read_text().splitlines()] == [
+            "0001", "0010", "0100", "1000"]
+
+    def test_dump_state_capped_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the --dump-state size check")
+
+        monkeypatch.setattr(cli_module, "_execute", no_work)
+        cfg = write_config(tmp_path, {"protocol": "wstate", "N": 30, "lambdas": 1.0, "kappa": 0.0})
+        dump = tmp_path / "state.txt"
+        code = main(["run", "--config", cfg, "--dump-state", str(dump)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not dump.exists()
+
     def test_dump_hamiltonian(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.1}
@@ -391,6 +428,33 @@ class TestSweepCommand:
             ratio, p = float(r[2]), float(r[4])
             sol = w_solve_lambda1((1.0, 1.0, 1.0), ratio)
             assert p == pytest.approx(math.exp(-ratio * sol.duration / 4), abs=1e-10)
+
+    def test_wstate_beyond_the_dense_cap(self, tmp_path, capsys):
+        out_csv = tmp_path / "w.csv"
+        cfg = write_config(
+            tmp_path,
+            {
+                "protocol": "wstate",
+                "N": 10,
+                "lambdas": 1.0e7,
+                "kappa": 0.0,
+                "sweep": {
+                    "kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 4},
+                    "N_list": [10, 30, 1000],
+                },
+                "output": str(out_csv),
+            },
+        )
+        from cavity_entangler import w_solve_lambda1
+        assert main(["sweep", "--config", cfg]) == 0
+        rows = [l.split(",") for l in out_csv.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 12
+        for r in rows:
+            n, ratio, f, p = int(r[1]), float(r[2]), float(r[3]), float(r[4])
+            assert r[6] == "ok"
+            t = w_solve_lambda1((1.0e7,) * (n - 1), ratio * 1.0e7).duration
+            assert f == pytest.approx(1.0, abs=1e-12)
+            assert p == pytest.approx(math.exp(-ratio * 1.0e7 * t / 4), rel=1e-12)
 
     def test_deterministic_output_modulo_runtime(self, tmp_path, capsys):
         doc = {

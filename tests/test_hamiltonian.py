@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,17 @@ class TestEffectiveModel:
         with pytest.warns(RegimeWarning):
             m = EffectiveModel((1.0,), 0.5)
         assert m.kappa_over_lambda == pytest.approx(0.5)
+
+    def test_regime_edge_built_by_multiplication_is_inside(self, rng):
+        lams = rng.uniform(0.1, 1e9, 1000)
+        assert any(0.1 * lam / lam > 0.1 for lam in lams)   # the quotient rounds up
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            for lam in lams:
+                EffectiveModel((lam, 2 * lam), 0.1 * lam)
+        for lam in lams[:20]:
+            with pytest.warns(RegimeWarning):
+                EffectiveModel((lam,), float(np.nextafter(0.1 * lam, np.inf)))
 
     def test_nonpositive_coupling_rejected(self):
         with pytest.raises(ArgumentError):

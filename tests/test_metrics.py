@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cavity_entangler import (
     ArgumentError,
     EffectiveModel,
+    SingleExcitation,
     StateVector,
     cluster_analytic,
     fidelity,
@@ -33,6 +34,19 @@ class TestFidelity:
         a = make_basis_state([0], 0, 1)
         b = make_basis_state([1], 0, 1)
         assert fidelity(a, b) == 0.0
+
+    def test_single_excitation_registers_match_their_dense_forms(self, rng):
+        for m in (1, 2, 7):
+            a, b = (SingleExcitation(rng.normal(size=m) + 1j * rng.normal(size=m))
+                    for _ in range(2))
+            assert fidelity(a, b) == pytest.approx(fidelity(a.to_dense(), b.to_dense()), abs=1e-15)
+            assert raw_fidelity(a, b) == pytest.approx(
+                raw_fidelity(a.to_dense(), b.to_dense()), rel=1e-14)
+
+    def test_mixed_register_types_rejected(self):
+        reg = SingleExcitation(np.array([1.0, 1.0]))
+        with pytest.raises(ArgumentError):
+            fidelity(reg, reg.to_dense())
 
     def test_protocol_output_vs_target(self):
         model = EffectiveModel((1.0,) * 3, 0.0)

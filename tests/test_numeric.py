@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from cavity_entangler import (
     make_basis_state,
     number_operator,
 )
+
+from cavity_entangler import numeric
+from cavity_entangler.hamiltonian import build_single_excitation
 
 from conftest import oracle_hamiltonian
 
@@ -92,6 +96,86 @@ class TestBlockEvolution:
         for k in range(block.shape[1]):
             column = evolve_vector(h, block[:, k], 1.7, opts)
             assert np.max(np.abs(out[:, k] - column)) <= tol
+
+
+F = Fraction
+# the Dormand-Prince 5(4) tableau
+DP_A = [
+    [],
+    [F(1, 5)],
+    [F(3, 40), F(9, 40)],
+    [F(44, 45), F(-56, 15), F(32, 9)],
+    [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+    [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+    [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)],
+]
+DP_B5 = [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84), F(0)]
+DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200),
+         F(187, 2100), F(1, 40)]
+
+
+def stability_polynomial(b):
+    """Coefficients of z^0..z^7 of y + h sum_i b_i k_i for y' = M y, z = hM."""
+    stages = []                       # stage i input as a polynomial in z times y
+    for row in DP_A:
+        poly = [F(1)] + [F(0)] * 7
+        for a, prev in zip(row, stages):
+            for k in range(7):
+                poly[k + 1] += a * prev[k]
+        stages.append(poly)
+    out = [F(1)] + [F(0)] * 7
+    for b_i, poly in zip(b, stages):
+        for k in range(7):
+            out[k + 1] += b_i * poly[k]
+    return out
+
+
+def stage_form_dopri5(h, y0, t_end, opts):
+    """The integrator written stage by stage, with the same step control."""
+    a = [[float(x) for x in row] for row in DP_A]
+    b5, b4 = [float(x) for x in DP_B5], [float(x) for x in DP_B4]
+    m = -1j * h
+    rtol, atol = opts.tol, opts.tol * 1e-3 * max(np.linalg.norm(y0), 1.0)
+    scale0 = np.linalg.norm(m, 1)
+    step = min(t_end, 0.1 / scale0) if scale0 > 0 else t_end
+    t, y = 0.0, y0.astype(complex)
+    while t < t_end:
+        step = min(step, t_end - t)
+        k = [m @ y]
+        for i in range(1, 7):
+            k.append(m @ (y + step * sum(aij * kj for aij, kj in zip(a[i], k))))
+        y5 = y + step * sum(bi * ki for bi, ki in zip(b5, k))
+        y4 = y + step * sum(bi * ki for bi, ki in zip(b4, k))
+        ratio = np.linalg.norm(y5 - y4) / (atol + rtol * max(np.linalg.norm(y), np.linalg.norm(y5)))
+        if ratio <= 1.0:
+            t, y = t + step, y5
+        step *= min(5.0, max(0.2, 0.9 * ratio ** (-0.2) if ratio > 0 else 5.0))
+    return y
+
+
+class TestDormandPrinceLinearForm:
+    def test_polynomials_are_the_tableau_exactly(self):
+        r5, r4 = stability_polynomial(DP_B5), stability_polynomial(DP_B4)
+        assert [float(c) for c in r5] == numeric._R5.tolist()
+        assert [float(x - y) for x, y in zip(r5, r4)] == numeric._ERR.tolist()
+
+    def test_matches_stage_form(self, rng):
+        blocks = []
+        for _ in range(3):
+            h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            blocks.append(((h + h.conj().T) / 2 - 0.1j * np.diag(rng.uniform(0, 1, 4)),
+                           np.eye(4, dtype=complex)))
+        for n in (3, 8, 20):
+            lams = tuple(rng.uniform(0.5, 2.0, n))
+            h = build_single_excitation(EffectiveModel(lams, 0.05 * min(lams)), n).matrix
+            start = np.zeros(n + 1, dtype=complex)
+            start[0] = 1.0
+            blocks.append((h, start))
+        for h, y0 in blocks:
+            t = float(rng.uniform(0.5, 2.0))
+            got = numeric._dopri5(h, y0, t, RK_OPTS)
+            ref = stage_form_dopri5(h, y0, t, RK_OPTS)
+            assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 class TestStepSequence:

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cavity_entangler import (
     ArgumentError,
+    CapacityError,
     EffectiveModel,
     FactorizationError,
     RegimeWarning,
@@ -27,8 +29,8 @@ from cavity_entangler import (
     w_initial_state,
     w_target,
 )
-from cavity_entangler import PropagatorOptions, w_solve_lambda1
-from cavity_entangler.protocols import CAVITY_TOL
+from cavity_entangler import PropagatorOptions, numeric, protocols, statespace, w_solve_lambda1
+from cavity_entangler.protocols import CAVITY_TOL, MAX_NUMERIC_W_QUBITS
 
 from conftest import oracle_cluster_protocol, oracle_evolve, oracle_hamiltonian
 
@@ -212,6 +214,76 @@ class TestWRun:
             assert np.linalg.norm(state_a.amplitudes - state_n.amplitudes) < 1e-8
             assert rep_a.fidelity == pytest.approx(rep_n.fidelity, abs=1e-10)
 
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_dense_form_is_the_old_register_fill(self, rng, mode):
+        def old_fill(amps, n):
+            # the dense register run_w used to return: qubit k on bit N-k
+            register_amps = np.zeros(1 << (n - 1), dtype=complex)
+            for k in range(2, n + 1):
+                register_amps[1 << (n - 1 - (k - 1))] = amps[k - 1]
+            return statespace.StateVector(register_amps, n - 1, 1)
+
+        for n in range(2, 13):
+            rest = tuple(rng.uniform(0.5, 2.0, n - 1))
+            model = EffectiveModel((1.0,) + rest, float(rng.uniform(0.0, 0.1)) * min(rest))
+            sector = {}
+            real_evolve = numeric.evolve_vector
+
+            def recording(matrix, vec, t, opts=None):
+                sector["amps"] = real_evolve(matrix, vec, t, opts or numeric.PropagatorOptions())
+                return sector["amps"]
+
+            real_amplitudes = analytic.w_amplitudes
+
+            def recording_amplitudes(model, t):
+                sector["amps"] = real_amplitudes(model, t)
+                return sector["amps"]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(numeric, "evolve_vector", recording)
+                mp.setattr(analytic, "w_amplitudes", recording_amplitudes)
+                state, report = run_w(model, n, mode)
+            dense = state.to_dense()
+            assert np.array_equal(dense.amplitudes, old_fill(sector["amps"], n).amplitudes)
+            assert (dense.qubit_count, dense.fock_cutoff) == (n - 1, 1)
+            assert report.success_probability == pytest.approx(dense.norm_sq(), rel=1e-14)
+
+    def test_analytic_runs_at_a_hundred_thousand_qubits(self):
+        # equal couplings make left-to-right sums of squares drift ~N eps, so
+        # the solver's and the amplitudes' collective rates disagree unless
+        # both sums are correctly rounded
+        rng = np.random.default_rng(1)
+        n = 100_000
+        for _ in range(3):
+            lam = float(1e7 * rng.uniform(0.5, 1.5))
+            kappa = float(rng.uniform(0.0, 0.1)) * lam
+            state, report = run_w(EffectiveModel((lam,) * n, kappa), n)
+            t = report.details["solution"].duration
+            assert state.dim == n - 1
+            assert report.details["cavity_residual"] < 1e-12
+            assert report.fidelity == pytest.approx(1.0, abs=1e-12)
+            assert report.success_probability == pytest.approx(
+                math.exp(-kappa * t / 4), rel=1e-12)
+
+    def test_numeric_capped_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the numeric W size check")
+
+        for name in ("build_single_excitation", "EffectiveModel"):
+            monkeypatch.setattr(protocols, name, no_work)
+        monkeypatch.setattr(analytic, "w_solve_lambda1", no_work)
+        n = MAX_NUMERIC_W_QUBITS + 1
+        model = EffectiveModel((1.0,) * n, 0.0)
+        with pytest.raises(CapacityError):
+            run_w(model, n, "numeric")
+
+    def test_regime_edge_built_by_multiplication_does_not_warn(self):
+        lam = 3.0          # 0.1 * 3.0 / 3.0 rounds to 0.10000000000000002
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            run_cluster(EffectiveModel((lam,) * 3, 0.1 * lam), 3)
+            run_w(EffectiveModel((lam,) * 3, 0.1 * lam), 3)
+
     def test_residuals_reported(self):
         model = EffectiveModel((1.0, 1.0, 1.0), 0.08)
         _, report = run_w(model, 3, "numeric")
@@ -266,11 +338,36 @@ class TestNumericOracle:
             h = oracle_hamiltonian(lams, kappa, set(range(1, n + 1)))
             joint = oracle_evolve(h, w_initial_state(n).amplitudes, sol.duration)
             grid = joint.reshape(2, -1, 2)             # (qubit 1, rest, photon)
-            assert np.max(np.abs(state.amplitudes - grid[0, :, 0])) <= 1e-10
+            assert np.max(np.abs(state.to_dense().amplitudes - grid[0, :, 0])) <= 1e-10
             assert report.details["qubit1_residual"] == pytest.approx(
                 np.linalg.norm(grid[1]), abs=1e-12)
             assert report.details["cavity_residual"] == pytest.approx(
                 np.linalg.norm(grid[:, :, 1]), abs=1e-12)
+
+    @pytest.mark.parametrize("opts", [None, RK_OPTS], ids=["expm", "dopri5"])
+    def test_cluster_bitwise_equal_to_per_step_generators(self, rng, opts):
+        def per_step_run(model, n):
+            # each step builds its own one-qubit generator with build_effective
+            psi = cluster_initial_state(n)
+            grid = psi._grid()
+            norms = []
+            for j, lam, duration in cluster_schedule(model, n).steps:
+                h = build_effective(EffectiveModel((lam,), model.kappa), 1, 2)
+                u = numeric.evolve_vector(h.matrix, np.eye(h.dim), duration,
+                                          opts or PropagatorOptions())
+                grid = np.tensordot(u.reshape(2, 2, 2, 2), grid, axes=([2, 3], [j - 1, n]))
+                norms.append(float(np.vdot(grid, grid).real))
+                grid = np.moveaxis(grid, (0, 1), (j - 1, n))
+            return grid.reshape(-1, 2), norms
+
+        for n in range(2, 9):
+            lams = tuple(rng.uniform(0.5, 2.0, n))
+            model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams))
+            state, report = run_cluster(model, n, "numeric", opts)
+            joint, norms = per_step_run(model, n)
+            assert np.array_equal(state.amplitudes, joint[:, 0])
+            assert [norm for _, norm in report.per_step] == norms
+            assert report.details["cavity_residual"] == float(np.linalg.norm(joint[:, 1]))
 
     def test_cluster_modes_agree_at_sixteen_qubits(self, rng):
         n = 16

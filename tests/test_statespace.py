@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from cavity_entangler import (
     ArgumentError,
     EffectiveModel,
+    CapacityError,
     FactorizationError,
+    SingleExcitation,
     StateVector,
     TruncationError,
     apply_sigma_z,
@@ -161,9 +163,67 @@ class TestImmutability:
 class TestCapacity:
     def test_dense_register_capped(self):
         # the cap fires before shape validation, so no giant allocation needed
-        from cavity_entangler import CapacityError
         with pytest.raises(CapacityError):
             StateVector(np.zeros(2, complex), 25, 1)
+
+
+class TestSingleExcitation:
+    def test_dense_form_places_qubit_one_on_the_top_bit(self, rng):
+        for m in range(1, 9):
+            amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+            dense = SingleExcitation(amps).to_dense()
+            assert (dense.qubit_count, dense.fock_cutoff) == (m, 1)
+            for k in range(m):
+                bits = [int(j == k) for j in range(m)]
+                assert dense.amplitude(bits) == amps[k]
+            assert np.count_nonzero(dense.amplitudes) == m
+
+    def test_queries_match_the_dense_form(self, rng):
+        amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+        reg = SingleExcitation(amps)
+        dense = reg.to_dense()
+        assert (reg.dim, reg.qubit_count) == (5, 5)
+        assert reg.norm_sq() == pytest.approx(dense.norm_sq(), rel=1e-15)
+        assert reg.norm() == pytest.approx(dense.norm(), rel=1e-15)
+        for idx in range(dense.dim):
+            bits = dense.label_of(idx).qubit_bits
+            assert reg.amplitude(bits) == dense.amplitudes[idx]
+        with pytest.raises(TruncationError):
+            reg.amplitude([1, 0, 0, 0, 0], 1)
+        with pytest.raises(ArgumentError):
+            reg.amplitude([1, 0])
+
+    def test_inner_is_the_dense_inner_product(self, rng):
+        a, b = (SingleExcitation(rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in range(2))
+        assert inner(a, b) == pytest.approx(inner(a.to_dense(), b.to_dense()), rel=1e-14)
+
+    def test_mixed_or_mismatched_registers_rejected(self):
+        reg = SingleExcitation(np.ones(2))
+        with pytest.raises(ArgumentError, match="mixed"):
+            inner(reg, reg.to_dense())
+        with pytest.raises(ArgumentError, match="mixed"):
+            inner(reg.to_dense(), reg)
+        with pytest.raises(ArgumentError, match="mismatched"):
+            inner(reg, SingleExcitation(np.ones(3)))
+
+    def test_immutable_owned_copy(self):
+        amps = np.ones(3, dtype=complex)
+        reg = SingleExcitation(amps)
+        amps[0] = 5.0
+        assert reg.amplitudes[0] == 1.0
+        with pytest.raises(ValueError):
+            reg.amplitudes[0] = 5.0
+
+    def test_no_dense_form_above_the_dense_cap(self):
+        reg = SingleExcitation(np.ones(25))
+        assert reg.norm_sq() == 25.0
+        with pytest.raises(CapacityError):
+            reg.to_dense()
+
+    @pytest.mark.parametrize("amps", [[], [[1.0, 0.0]]])
+    def test_shape_checked(self, amps):
+        with pytest.raises(ArgumentError):
+            SingleExcitation(np.array(amps))
 
 
 class TestLabels:
