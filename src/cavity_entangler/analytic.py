@@ -308,18 +308,17 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     The update is two 3x3 linear maps per step, one on (s, u, g~) and one on
     (p, q, g), each halved (so the 2^{-N} prefactors collapse to 1/2). A run
     of equal consecutive couplings repeats one map pair, so each run's pair
-    is raised to the run's length by binary powering (once per distinct
-    coupling and length); the per-run products are then multiplied
-    pairwise, later runs on the left, in log2(runs) batched matmuls. Equal
-    couplings are one run and cost O(log N) matmuls; distinct per-qubit
-    couplings are N-1 runs of length 1. After every product each matrix is
-    scaled by the power of two that brings the sum of its |entries| into
-    [1/2, 1), and the exponents are summed as integers. Power-of-two
-    scaling adds no roundoff, so kappa = 0 gives F = P = 1.0 exactly, and
-    no intermediate under- or
-    overflows: F and P are assembled with ``math.ldexp`` and read 0.0 only
-    when the true value is below the double range (P is 2.4e-453 at
-    N = 20000, kappa/lambda = 2/30). Agrees with the dense path to ~1e-15,
+    is raised to the run's length by binary powering; the per-run products
+    are then multiplied pairwise, later runs on the left, in log2(runs)
+    batched matmuls. Equal couplings are one run and cost O(log N) matmuls;
+    distinct per-qubit couplings are N-1 runs of length 1. After every
+    product each matrix is scaled by the power of two that brings the sum
+    of its |entries| into [1/2, 1), and the exponents are summed as
+    integers. Power-of-two scaling adds no roundoff, so kappa = 0 gives
+    F = P = 1.0 exactly, and no intermediate under- or overflows: F and P
+    are assembled with ``math.ldexp`` and read 0.0 only when the true value
+    is below the double range (P is 2.4e-453 at N = 20000,
+    kappa/lambda = 2/30). Agrees with the dense path to ~1e-15,
     and F with a 120-bit evaluation of the recursion to ~1e-12 at N = 20000.
     """
     if n < 2:
@@ -336,10 +335,8 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     ]).transpose(3, 0, 1, 2)               # (distinct coupling, family, 3, 3)
     starts = np.flatnonzero(np.concatenate(([True], inverse[1:] != inverse[:-1])))  # run heads
     lengths = np.diff(np.append(starts, inverse.size))
-    # a run's power depends only on its coupling and its length: power each pair once
-    pairs, run_pair = np.unique(inverse[starts] * n + lengths, return_inverse=True)
-    powers, exps = _run_powers(maps[pairs // n], pairs % n)
-    (m_su, m_pq), (e_su, e_pq) = _chain_product(powers[run_pair], exps[run_pair])
+    powers, exps = _run_powers(maps[inverse[starts]], lengths)
+    (m_su, m_pq), (e_su, e_pq) = _chain_product(powers, exps)
     s, u = m_su[:2].sum(axis=1).tolist()     # the scalars all start at 1
     p, q = m_pq[:2].sum(axis=1).tolist()
     num = s + drain_amp * u
@@ -483,7 +480,8 @@ def w_amplitudes(model: EffectiveModel, t: float) -> np.ndarray:
         raise ArgumentError("w_amplitudes requires all qubits active")
     lams = np.array(model.lambdas)
     kappa = model.kappa
-    a_sq = _sum_sq(lams)
+    lam1 = model.lambdas[0]
+    a_sq = lam1 * lam1 + _sum_sq(lams[1:])   # as w_solve_lambda1 forms A^2
     b_sq = 16.0 * a_sq - kappa * kappa
     if b_sq <= 0:
         raise RegimeError("16 A^2 <= kappa^2: collective exchange is overdamped")
@@ -491,7 +489,6 @@ def w_amplitudes(model: EffectiveModel, t: float) -> np.ndarray:
     phase = b * t / 4.0
     env = math.exp(-kappa * t / 4.0)
     bright = env * (math.cos(phase) + (kappa / b) * math.sin(phase))
-    lam1 = model.lambdas[0]
     out = np.empty(model.qubit_count + 1, dtype=complex)
     out[0] = 1.0 + (lam1 * lam1 / a_sq) * (bright - 1.0)
     out[1:-1] = (lam1 * lams[1:] / a_sq) * (bright - 1.0)
@@ -520,9 +517,11 @@ def _rest_couplings(lambda_rest: Sequence[float]) -> np.ndarray:
 def _sum_sq(lams: np.ndarray) -> float:
     """Correctly rounded sum of squares.
 
-    The W solver (A'^2), the amplitudes (A^2) and the target (A') must agree
-    to the last bit: with plain left-to-right sums the collective rates they
-    derive drift apart by ~1e-11 relative above ~10^5 qubits, and the cavity
-    residual at the solved time fails its 1e-12 check.
+    The W solver, the amplitudes and the target all take A'^2 from here, and
+    the solver and the amplitudes both form A^2 as lambda1^2 + A'^2, so the
+    collective rates they derive are equal. A plain left-to-right sum drifts
+    ~N eps from the true A'^2 (~1e-11 relative at 10^5 qubits), and the
+    register's norm, which numpy sums pairwise, then misses the success
+    probability exp(-kappa t / 4) by more than 1e-12.
     """
     return math.fsum((lams * lams).tolist())

@@ -71,7 +71,7 @@ class EffectiveModel:
         lam_min = self._min_active_coupling()
         if lam_min <= 0:
             raise ArgumentError("all active couplings must be > 0")
-        if out_of_regime(self.kappa, lam_min):
+        if self.out_of_regime:
             warnings.warn(
                 f"kappa/min(lambda) = {self.kappa / lam_min:.3g} exceeds the supported regime "
                 f"(<= {REGIME_MAX_KAPPA_OVER_LAMBDA}); results are not validated there",
@@ -86,6 +86,11 @@ class EffectiveModel:
     @property
     def kappa_over_lambda(self) -> float:
         return self.kappa / self._min_active_coupling()
+
+    @property
+    def out_of_regime(self) -> bool:
+        """True when kappa exceeds the supported fraction of the smallest active coupling."""
+        return out_of_regime(self.kappa, self._min_active_coupling())
 
     def _min_active_coupling(self) -> float:
         """Smallest active coupling; inf when no qubit is active."""

@@ -33,7 +33,6 @@ from .hamiltonian import (
     EffectiveModel,
     build_effective,
     build_single_excitation,
-    out_of_regime,
 )
 from .records import RunReport, Schedule  # Schedule re-exported: records live in records.py
 from .statespace import SingleExcitation, StateVector
@@ -58,7 +57,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _warn_if_out_of_regime(model: EffectiveModel) -> None:
-    if out_of_regime(model.kappa, model._min_active_coupling()):
+    if model.out_of_regime:
         warnings.warn(
             f"protocol run at kappa/lambda = {model.kappa_over_lambda:.3g} is outside the "
             f"supported regime (<= {REGIME_MAX_KAPPA_OVER_LAMBDA})",

@@ -138,21 +138,6 @@ class SingleExcitation:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def amplitude(self, bits: Sequence[int], photon: int = 0) -> complex:
-        label = BasisLabel(tuple(bits), photon)
-        if len(label.qubit_bits) != self.qubit_count:
-            raise ArgumentError(
-                f"label has {len(label.qubit_bits)} bits, register has {self.qubit_count}"
-            )
-        if photon != 0:
-            raise TruncationError(f"photon number {photon} >= cutoff 1")
-        if sum(label.qubit_bits) != 1:
-            return 0j
-        return complex(self.amplitudes[label.qubit_bits.index(1)])
-
     def to_dense(self) -> StateVector:
         """The same register as a dense StateVector (fock_cutoff = 1)."""
         m = self.qubit_count

@@ -120,7 +120,7 @@ def test_criterion_3_w_conditions():
         kappa = 0.05
         model = EffectiveModel((1.0,) * n, kappa)
         state, _ = run_w(model, n, "analytic")
-        normalized = np.abs(state.amplitudes) / state.norm()
+        normalized = np.abs(state.amplitudes) / math.sqrt(state.norm_sq())
         nonzero = normalized[normalized > 1e-12]
         worst_uniform = max(
             worst_uniform, float(np.max(np.abs(nonzero - 1 / math.sqrt(n - 1))))

@@ -495,8 +495,8 @@ class TestWTarget:
 
     def test_weighted_couplings(self):
         s = w_target([1.0, 2.0], 0.0, 1.0)
-        assert s.amplitude([1, 0], 0) == pytest.approx(1 / math.sqrt(5))
-        assert s.amplitude([0, 1], 0) == pytest.approx(2 / math.sqrt(5))
+        assert s.to_dense().amplitude([1, 0], 0) == pytest.approx(1 / math.sqrt(5))
+        assert s.to_dense().amplitude([0, 1], 0) == pytest.approx(2 / math.sqrt(5))
 
     def test_norm_is_survival_probability(self, rng):
         for _ in range(10):
@@ -525,7 +525,7 @@ class TestWConditionCancellation:
         sol = w_solve_lambda1(rest, kappa)
         model = EffectiveModel((sol.lambda1,) + rest, kappa)
         amps = w_amplitudes(model, sol.duration)[1:-1]
-        target = w_target(rest, kappa, sol.duration)
+        target = w_target(rest, kappa, sol.duration).to_dense()
         target_amps = np.array(
             [target.amplitude([1 if k == j else 0 for k in range(3)], 0)
              for j in range(3)]

@@ -38,10 +38,10 @@ class TestEffectiveModel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RegimeWarning)
             for lam in lams:
-                EffectiveModel((lam, 2 * lam), 0.1 * lam)
+                assert not EffectiveModel((lam, 2 * lam), 0.1 * lam).out_of_regime
         for lam in lams[:20]:
             with pytest.warns(RegimeWarning):
-                EffectiveModel((lam,), float(np.nextafter(0.1 * lam, np.inf)))
+                assert EffectiveModel((lam,), float(np.nextafter(0.1 * lam, np.inf))).out_of_regime
 
     def test_nonpositive_coupling_rejected(self):
         with pytest.raises(ArgumentError):

@@ -184,14 +184,6 @@ class TestSingleExcitation:
         dense = reg.to_dense()
         assert (reg.dim, reg.qubit_count) == (5, 5)
         assert reg.norm_sq() == pytest.approx(dense.norm_sq(), rel=1e-15)
-        assert reg.norm() == pytest.approx(dense.norm(), rel=1e-15)
-        for idx in range(dense.dim):
-            bits = dense.label_of(idx).qubit_bits
-            assert reg.amplitude(bits) == dense.amplitudes[idx]
-        with pytest.raises(TruncationError):
-            reg.amplitude([1, 0, 0, 0, 0], 1)
-        with pytest.raises(ArgumentError):
-            reg.amplitude([1, 0])
 
     def test_inner_is_the_dense_inner_product(self, rng):
         a, b = (SingleExcitation(rng.normal(size=6) + 1j * rng.normal(size=6)) for _ in range(2))
