@@ -43,11 +43,10 @@ from .hamiltonian import (
     kappa_from_quality,
     number_operator,
 )
-from .metrics import StabilizerReport, fidelity, raw_fidelity, stabilizer_expectation, success_probability
-from .numeric import PropagatorOptions, evolve, evolve_step_sequence, evolve_vector
+from .metrics import StabilizerReport, fidelity, stabilizer_expectation
+from .numeric import PropagatorOptions, evolve, evolve_vector
 from .protocols import (
     cluster_initial_state,
-    inject_phase_errors,
     run_cluster,
     run_w,
     w_initial_state,
@@ -100,24 +99,20 @@ __all__ = [
     "cluster_schedule",
     "effective_coupling",
     "evolve",
-    "evolve_step_sequence",
     "evolve_vector",
     "excitation_operator",
     "factor_out_cavity",
     "fidelity",
     "ideal_cluster",
-    "inject_phase_errors",
     "inner",
     "kappa_from_quality",
     "make_basis_state",
     "number_operator",
-    "raw_fidelity",
     "run_cluster",
     "run_w",
     "single_step_map",
     "stabilizer_expectation",
     "step_params",
-    "success_probability",
     "superpose",
     "w_amplitudes",
     "w_initial_state",

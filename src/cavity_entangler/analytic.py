@@ -45,16 +45,21 @@ from .errors import (
     ArgumentError,
     CapacityError,
     ConvergenceError,
+    FactorizationError,
     RegimeError,
     SectorError,
 )
 from .hamiltonian import EffectiveModel
-from .metrics import fidelity
 from .records import RunReport, Schedule
 from .statespace import MAX_DENSE_QUBITS, SingleExcitation, StateVector
 
 LOAD = "load"
 DRAIN = "drain"
+
+# Photon-1 weight after the drain step, relative to the output norm, above
+# which a cluster run raises FactorizationError: it is exact up to the drain
+# root's roundoff, so more signals a scheduling bug.
+CAVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,16 +190,17 @@ def _sz_on_last(vec: np.ndarray) -> np.ndarray:
 
 
 def _step_coefficients(model: EffectiveModel, n: int):
-    """Load coefficients (a, b, d) per distinct coupling and the drain amplitude a'_N.
+    """Load coefficients (a, b, d) per distinct coupling and the drain step.
 
     At the load root: a = e^{-kappa t/4} (swap), b = a^2 (double survival),
     d = kappa*a/(2 lam) (residual stay of the cavity-excited branch, which the
-    load root does not zero). At the drain root the swap is a' = e^{-kappa t'/4}
-    and the cavity-excited stay vanishes instead.
+    load root does not zero). The drain step runs to its own root, where the
+    cavity-excited stay vanishes instead.
 
-    Returns ``(coeffs, inverse, drain_amp)``: ``step_params`` runs once per
+    Returns ``(coeffs, inverse, drain)``: ``step_params`` runs once per
     distinct load coupling, row i of the (U, 3) array ``coeffs`` holds its
-    (a, b, d), and load step k (1-based) uses row ``inverse[k - 1]``.
+    (a, b, d), load step k (1-based) uses row ``inverse[k - 1]``, and
+    ``drain`` is the StepParams of qubit N.
     """
     kappa = model.kappa
     lams, inverse = np.unique(model.lambdas[: n - 1], return_inverse=True)
@@ -203,12 +209,17 @@ def _step_coefficients(model: EffectiveModel, n: int):
         p = step_params(lam, kappa, LOAD)
         a = p.swap_amp
         coeffs[i] = a, p.double_amp, kappa * a / (2.0 * p.lam)
-    drain = step_params(model.lambdas[n - 1], kappa, DRAIN)
-    return coeffs, inverse, drain.swap_amp
+    return coeffs, inverse, step_params(model.lambdas[n - 1], kappa, DRAIN)
+
+
+def _drain_coefficients(drain: StepParams):
+    """(swap amplitude a', cavity-excited stay) of the drain step at its duration."""
+    _, stay_c, hop, _ = _branch_coefficients(drain.lam, drain.kappa, drain.duration)
+    return -hop.imag, stay_c       # hop = -i a'
 
 
 def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunReport]:
-    """Closed-form cluster output via the two-branch recursion (cavity exact vacuum).
+    """Closed-form cluster register via the two-branch recursion (cavity exact vacuum).
 
     This is the analytic executor behind ``run_cluster(mode="analytic")``.
     After each load step the joint state keeps the shape
@@ -227,11 +238,12 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
 
         psi_N = 2^{-N/2} (|0>_N x_{N-1} + a'_N sigma_z^{N-1} |1>_N y_{N-1}) (x) |0_c>
 
-    Per-step norms are 2^{-(k+1)} (|x_k|^2 + |y_k|^2), and the success
-    probability is P = 2^{-N} (|x_{N-1}|^2 + a'^2 |y_{N-1}|^2), exactly 1 at
-    kappa = 0. The drain's cavity-excited stay coefficient, zero at the drain
-    root, leaves the weight 2^{-N/2} |stay_c| |y_{N-1}| at photon 1; it is
-    reported as ``details["cavity_residual"]`` for the caller to check.
+    Per-step norms are 2^{-(k+1)} (|x_k|^2 + |y_k|^2). The fidelity, the
+    success probability (the last per-step norm) and the cavity-factorization
+    check come from ``cluster_fidelity_recursive``, the one analytic F and P
+    at every N. The drain's cavity-excited stay coefficient, zero at the
+    drain root, leaves the weight 2^{-N/2} |stay_c| |y_{N-1}| at photon 1;
+    it is reported as ``details["cavity_residual"]``.
     """
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(
@@ -239,7 +251,8 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
             "(use cluster_fidelity_recursive for larger n)"
         )
     schedule = cluster_schedule(model, n)   # validates model/n and the regime
-    coeffs, inverse, _ = _step_coefficients(model, n)
+    fid, p_success = cluster_fidelity_recursive(model, n)
+    coeffs, inverse, drain = _step_coefficients(model, n)
 
     x = np.array([1.0], dtype=float)
     y = np.array([1.0], dtype=float)
@@ -248,25 +261,20 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
         szy = _sz_on_last(y) if k > 1 else y
         x, y = _interleave(x, a * szy), _interleave(a * x + d * szy, b * szy)
         per_step.append((k, (float(x @ x) + float(y @ y)) / 2 ** (k + 1)))
-
-    _, lam, duration = schedule.steps[-1]
-    _, stay_c, hop, _ = _branch_coefficients(lam, model.kappa, duration)
-    drain_amp = -hop.imag          # hop = -i a'
-    scale = 2.0 ** (-n / 2.0)
-    state = StateVector(_interleave(x, drain_amp * _sz_on_last(y)) * scale, n, 1)
-    y_sq = float(y @ y)
-    p_success = (float(x @ x) + drain_amp * drain_amp * y_sq) / 2 ** n
     per_step.append((n, p_success))
 
+    drain_amp, stay_c = _drain_coefficients(drain)
+    scale = 2.0 ** (-n / 2.0)
+    state = StateVector(_interleave(x, drain_amp * _sz_on_last(y)) * scale, n, 1)
     report = RunReport(
-        fidelity=fidelity(state, ideal_cluster(n)),
+        fidelity=fid,
         success_probability=p_success,
         per_step=tuple(per_step),
         mode="analytic",
         kappa_over_lambda=model.kappa_over_lambda,
         details={
             "schedule": schedule,
-            "cavity_residual": abs(stay_c) * math.sqrt(y_sq) * scale,
+            "cavity_residual": abs(stay_c) * math.sqrt(float(y @ y)) * scale,
         },
     )
     return state, report
@@ -305,6 +313,11 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
 
         F = 2^{-N} (s + a' u)^2 / (p + a'^2 q),   P = 2^{-N} (p + a'^2 q).
 
+    The drain's cavity-excited stay leaves the photon-1 weight
+    2^{-N/2} |stay_c| sqrt(q); relative to sqrt(P) it is
+    |stay_c| sqrt(q / (p + a'^2 q)), and above ``CAVITY_TOL`` the run raises
+    FactorizationError (a mistimed drain, not roundoff).
+
     The update is two 3x3 linear maps per step, one on (s, u, g~) and one on
     (p, q, g), each halved (so the 2^{-N} prefactors collapse to 1/2). A run
     of equal consecutive couplings repeats one map pair, so each run's pair
@@ -318,14 +331,16 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     F = P = 1.0 exactly, and no intermediate under- or overflows: F and P
     are assembled with ``math.ldexp`` and read 0.0 only when the true value
     is below the double range (P is 2.4e-453 at N = 20000,
-    kappa/lambda = 2/30). Agrees with the dense path to ~1e-15,
-    and F with a 120-bit evaluation of the recursion to ~1e-12 at N = 20000.
+    kappa/lambda = 2/30). These are the only analytic cluster F and P
+    (``cluster_analytic`` reports them); F agrees with a 120-bit evaluation
+    of the recursion to ~1e-12 at N = 20000.
     """
     if n < 2:
         raise ArgumentError(f"cluster protocol needs n >= 2, got {n}")
     if model.qubit_count != n:
         raise ArgumentError(f"model has {model.qubit_count} couplings, n = {n}")
-    coeffs, inverse, drain_amp = _step_coefficients(model, n)
+    coeffs, inverse, drain = _step_coefficients(model, n)
+    drain_amp, stay_c = _drain_coefficients(drain)
     a, b, d = coeffs.T
     one, zero = np.ones_like(a), np.zeros_like(a)
     a_sq = a * a
@@ -341,6 +356,13 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     p, q = m_pq[:2].sum(axis=1).tolist()
     num = s + drain_amp * u
     den = p + drain_amp * drain_amp * q
+    residual = abs(stay_c) * math.sqrt(q / den)   # p and q share the exponent e_pq
+    if residual > CAVITY_TOL:
+        raise FactorizationError(
+            f"photon left in the cavity after the drain step: residual {residual:.3e} "
+            f"of the output norm exceeds tol {CAVITY_TOL:.1e}",
+            residual,
+        )
     return (
         math.ldexp(0.5 * num * num / den, 2 * int(e_su) - int(e_pq)),
         math.ldexp(0.5 * den, int(e_pq)),

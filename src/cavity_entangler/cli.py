@@ -404,7 +404,7 @@ def _sweep_point(task: tuple) -> tuple:
             warnings.simplefilter("ignore", RegimeWarning)
             lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
             kappa = ratio * min(lams)
-            if protocol == "cluster" and n > analytic.MAX_DENSE_QUBITS:
+            if protocol == "cluster" and mode == protocols.ANALYTIC:
                 fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
             else:
                 _, report = _execute(RunConfig(protocol, n, lams, kappa, mode), n, kappa)

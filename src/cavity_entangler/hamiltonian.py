@@ -101,10 +101,6 @@ class EffectiveModel:
     def with_active(self, active) -> "EffectiveModel":
         return EffectiveModel(self.lambdas, self.kappa, frozenset(active))
 
-    @classmethod
-    def equal(cls, lam: float, n: int, kappa: float) -> "EffectiveModel":
-        return cls((lam,) * n, kappa)
-
 
 @dataclass(frozen=True)
 class ThreeLevelModel:
@@ -156,7 +152,6 @@ class OperatorMatrix:
     """Dense complex matrix over a (levels^N x cutoff) basis."""
 
     matrix: np.ndarray
-    hermitian_flag: bool
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -190,7 +185,7 @@ def number_operator(n: int, cutoff: int, levels: int = 2) -> OperatorMatrix:
     """Cavity photon-number operator a^dag a on the full basis."""
     a = _annihilator(cutoff)
     mat = _kron(np.eye(levels**n, dtype=complex), a.conj().T @ a)
-    return OperatorMatrix(mat, True)
+    return OperatorMatrix(mat)
 
 
 def excitation_operator(n: int, cutoff: int) -> OperatorMatrix:
@@ -199,7 +194,7 @@ def excitation_operator(n: int, cutoff: int) -> OperatorMatrix:
     p1 = np.diag([0.0, 1.0]).astype(complex)
     for j in range(1, n + 1):
         mat += _site_op(p1, j, n, 2, cutoff)
-    return OperatorMatrix(mat, True)
+    return OperatorMatrix(mat)
 
 
 def build_effective(model: EffectiveModel, n: int, cutoff: int = 2) -> OperatorMatrix:
@@ -221,7 +216,7 @@ def build_effective(model: EffectiveModel, n: int, cutoff: int = 2) -> OperatorM
         post = np.eye(1 << (n - j), dtype=complex)
         h += lam * (_kron(pre, low, post, adag) + _kron(pre, raise_, post, a))
     h += -0.5j * model.kappa * _kron(eye_q, adag @ a)
-    return OperatorMatrix(h, hermitian_flag=(model.kappa == 0))
+    return OperatorMatrix(h)
 
 
 def build_single_excitation(model: EffectiveModel, n: int) -> OperatorMatrix:
@@ -238,7 +233,7 @@ def build_single_excitation(model: EffectiveModel, n: int) -> OperatorMatrix:
     for j in sorted(model.active):
         h[j - 1, n] = h[n, j - 1] = model.lambdas[j - 1]
     h[n, n] = -0.5j * model.kappa
-    return OperatorMatrix(h, hermitian_flag=(model.kappa == 0))
+    return OperatorMatrix(h)
 
 
 def build_full_rotated(model: ThreeLevelModel, n: int, cutoff: int = 2) -> OperatorMatrix:
@@ -272,7 +267,7 @@ def build_full_rotated(model: ThreeLevelModel, n: int, cutoff: int = 2) -> Opera
             _kron(pre, s12, post, np.eye(cutoff, dtype=complex))
             + _kron(pre, s12.conj().T, post, np.eye(cutoff, dtype=complex))
         )
-    return OperatorMatrix(h, hermitian_flag=True)
+    return OperatorMatrix(h)
 
 
 def effective_coupling(g: float, omega: float, delta: float) -> float:

@@ -1,4 +1,8 @@
-"""Fidelity, success probability, and cluster-stabilizer diagnostics."""
+"""Fidelity and cluster-stabilizer diagnostics.
+
+The success probability of a protocol output is its squared norm,
+``norm_sq()``; the CLI's raw fidelity convention is F * P.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ def fidelity(psi: StateVector, target: StateVector) -> float:
     """Normalized overlap |<target|psi>|^2 / (|psi|^2 |target|^2), in [0, 1].
 
     Invariant under global phases and under rescaling either argument; the
-    unnormalized convention survives only in success_probability. Both
+    unnormalized convention survives only in the squared norm. Both
     arguments are StateVectors or both are SingleExcitation registers (O(N));
     a mix raises ArgumentError.
     """
@@ -33,23 +37,6 @@ def fidelity(psi: StateVector, target: StateVector) -> float:
         raise ArgumentError("fidelity of a zero-norm state is undefined")
     val = abs(inner(target, psi)) ** 2 / (np_sq * nt_sq)
     return float(min(max(val, 0.0), 1.0))
-
-
-def raw_fidelity(psi: StateVector, target: StateVector) -> float:
-    """Unnormalized-overlap convention |<target|psi>|^2 / |target|^2.
-
-    Equals fidelity * success_probability for a protocol output; exposed for
-    the CLI's --fidelity-convention flag.
-    """
-    nt_sq = target.norm_sq()
-    if nt_sq == 0:
-        raise ArgumentError("fidelity of a zero-norm target is undefined")
-    return float(abs(inner(target, psi)) ** 2 / nt_sq)
-
-
-def success_probability(psi: StateVector) -> float:
-    """Squared norm of the (unnormalized) post-protocol state."""
-    return psi.norm_sq()
 
 
 def stabilizer_expectation(psi: StateVector, a: int) -> StabilizerReport:

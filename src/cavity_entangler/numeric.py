@@ -22,7 +22,7 @@ Two methods, deliberately unrelated so they can cross-check each other:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -91,18 +91,6 @@ def evolve(
         raise ArgumentError(f"H is {h.dim}x{h.dim} but state has dimension {psi.dim}")
     out = evolve_vector(h.matrix, psi.amplitudes, t, opts)
     return StateVector(out, psi.qubit_count, psi.fock_cutoff)
-
-
-def evolve_step_sequence(
-    h_list: Iterable[tuple],
-    psi: StateVector,
-    opts: PropagatorOptions = PropagatorOptions(),
-) -> StateVector:
-    """Compose evolve over (OperatorMatrix, duration) segments in order."""
-    out = psi
-    for h, duration in h_list:
-        out = evolve(h, out, duration, opts)
-    return out
 
 
 # Dormand-Prince 5(4) on y' = M y with M constant. All seven stages are

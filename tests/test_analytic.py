@@ -15,6 +15,7 @@ from cavity_entangler import (
     cluster_analytic,
     cluster_fidelity_recursive,
     cluster_schedule,
+    fidelity,
     ideal_cluster,
     make_basis_state,
     single_step_map,
@@ -229,16 +230,25 @@ class TestClusterFidelityRecursive:
             assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_path(self, rng):
-        from cavity_entangler import fidelity, ideal_cluster as ideal
+        # the reference is the dense register's own overlap and squared norm
         for _ in range(10):
             n = int(rng.integers(2, 11))
             lams = tuple(rng.uniform(0.5, 2.0, n))
             kappa = float(rng.uniform(0.0, 0.1)) * min(lams)
             model = EffectiveModel(lams, kappa)
-            state, report = cluster_analytic(model, n)
+            state, _ = cluster_analytic(model, n)
             f, p = cluster_fidelity_recursive(model, n)
-            assert f == pytest.approx(report.fidelity, abs=1e-10)
-            assert p == pytest.approx(report.success_probability, abs=1e-10)
+            assert f == pytest.approx(fidelity(state, ideal_cluster(n)), abs=1e-10)
+            assert p == pytest.approx(state.norm_sq(), abs=1e-10)
+        # the shapes of the cluster-dense benchmark: N = 12..20, per-qubit couplings
+        for n in range(12, 21):
+            lams = tuple(rng.uniform(0.5, 2.0, n))
+            model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams))
+            state, report = cluster_analytic(model, n)
+            assert report.fidelity == pytest.approx(
+                fidelity(state, ideal_cluster(n)), rel=1e-12, abs=0.0)
+            assert report.success_probability == pytest.approx(
+                state.norm_sq(), rel=1e-12, abs=0.0)
 
     def test_large_register_runtime(self):
         import time
@@ -343,12 +353,16 @@ class TestClusterFidelityRecursive:
         batched = [cluster_analytic(model, n) for model, n in models]
 
         def per_step(model, n):
-            rows = []
-            for lam in model.lambdas[: n - 1]:
+            # one row per step; equal couplings share an index (the first step
+            # with that coupling) so the recursion sees the same runs
+            rows, first = [], {}
+            for k, lam in enumerate(model.lambdas[: n - 1]):
                 p = step_params(lam, model.kappa, LOAD)
                 rows.append((p.swap_amp, p.double_amp, model.kappa * p.swap_amp / (2.0 * lam)))
+                first.setdefault(lam, k)
+            inverse = np.array([first[lam] for lam in model.lambdas[: n - 1]])
             drain = step_params(model.lambdas[n - 1], model.kappa, DRAIN)
-            return np.array(rows), np.arange(n - 1), drain.swap_amp
+            return np.array(rows), inverse, drain
 
         monkeypatch.setattr(analytic, "_step_coefficients", per_step)
         for (model, n), (state, report) in zip(models, batched):

@@ -500,6 +500,39 @@ class TestSweepCommand:
 
         assert mask_runtime(a) == mask_runtime(b)
 
+    def test_numeric_rows_never_run_the_recursion(self, tmp_path, capsys, monkeypatch):
+        from cavity_entangler import EffectiveModel, analytic, run_cluster
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric sweep row ran the analytic recursion")
+
+        out_csv = tmp_path / "numeric.csv"
+        doc = {
+            "protocol": "cluster",
+            "N": 4,
+            "lambdas": 1.0,
+            "kappa": 0.0,
+            "mode": "numeric",
+            "sweep": {
+                "kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 3},
+                "N_list": [4, 30],
+            },
+            "output": str(out_csv),
+        }
+        monkeypatch.setattr(analytic, "cluster_fidelity_recursive", forbidden)
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        rows = [l.split(",") for l in out_csv.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 6
+        for r in rows:
+            n, ratio = int(r[1]), float(r[2])
+            if n == 30:
+                assert r[3:5] == ["nan", "nan"] and r[6] == "error"
+                continue
+            _, report = run_cluster(EffectiveModel((1.0,) * 4, ratio), 4, "numeric")
+            assert r[6] == "ok"
+            assert r[3:5] == [cli_module._fmt(report.fidelity),
+                              cli_module._fmt(report.success_probability)]
+
     def test_non_finite_input_rows_are_errors(self, tmp_path, capsys):
         out_csv = tmp_path / "nan.csv"
         doc = {

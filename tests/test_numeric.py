@@ -11,7 +11,6 @@ from cavity_entangler import (
     PropagatorOptions,
     build_effective,
     evolve,
-    evolve_step_sequence,
     evolve_vector,
     make_basis_state,
     number_operator,
@@ -33,7 +32,7 @@ def random_state(rng, n, cutoff=2):
 
 class TestEvolve:
     def test_zero_hamiltonian_is_identity(self, rng):
-        h = OperatorMatrix(np.zeros((4, 4)), True)
+        h = OperatorMatrix(np.zeros((4, 4)))
         psi = random_state(rng, 1)
         out = evolve(h, psi, 3.7)
         assert np.allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
@@ -70,12 +69,12 @@ class TestEvolve:
         assert out.norm_sq() <= psi.norm_sq() + 1e-12
 
     def test_negative_time_rejected(self):
-        h = OperatorMatrix(np.zeros((4, 4)), True)
+        h = OperatorMatrix(np.zeros((4, 4)))
         with pytest.raises(ArgumentError):
             evolve(h, make_basis_state([0], 0, 2), -1.0)
 
     def test_dimension_mismatch(self):
-        h = OperatorMatrix(np.zeros((8, 8)), True)
+        h = OperatorMatrix(np.zeros((8, 8)))
         with pytest.raises(ArgumentError):
             evolve(h, make_basis_state([0], 0, 2), 1.0)
 
@@ -84,7 +83,7 @@ class TestEvolve:
         bad = np.zeros((4, 4))
         bad[0, 0] = np.nan
         with pytest.raises(NumericError):
-            evolve(OperatorMatrix(bad, True), make_basis_state([0], 0, 2), 1.0)
+            evolve(OperatorMatrix(bad), make_basis_state([0], 0, 2), 1.0)
 
 
 class TestBlockEvolution:
@@ -179,21 +178,10 @@ class TestDormandPrinceLinearForm:
 
 
 class TestStepSequence:
-    def test_empty_sequence(self, rng):
-        psi = random_state(rng, 1)
-        assert evolve_step_sequence([], psi) is psi
-
-    def test_single_segment_equals_evolve(self, rng):
-        h = build_effective(EffectiveModel((1.0,), 0.05), 1, 2)
-        psi = random_state(rng, 1)
-        a = evolve_step_sequence([(h, 0.8)], psi)
-        b = evolve(h, psi, 0.8)
-        assert np.allclose(a.amplitudes, b.amplitudes, atol=1e-12)
-
     def test_semigroup_property(self, rng):
         h = build_effective(EffectiveModel((1.0,), 0.05), 1, 2)
         psi = random_state(rng, 1)
-        split = evolve_step_sequence([(h, 0.6), (h, 0.6)], psi)
+        split = evolve(h, evolve(h, psi, 0.6), 0.6)
         whole = evolve(h, psi, 1.2)
         assert np.allclose(split.amplitudes, whole.amplitudes, atol=1e-10)
 
@@ -202,7 +190,7 @@ class TestHermitianNormPreservation:
     def test_random_hermitian_preserves_norm(self, rng):
         for _ in range(5):
             m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            h = OperatorMatrix((m + m.conj().T) / 2, True)
+            h = OperatorMatrix((m + m.conj().T) / 2)
             psi = random_state(rng, 2)
             t = float(rng.uniform(0.1, 3.0))
             out = evolve(h, psi, t)

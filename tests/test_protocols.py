@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -19,7 +20,6 @@ from cavity_entangler import (
     factor_out_cavity,
     fidelity,
     ideal_cluster,
-    inject_phase_errors,
     inner,
     number_operator,
     run_cluster,
@@ -29,7 +29,7 @@ from cavity_entangler import (
     w_initial_state,
     w_target,
 )
-from cavity_entangler import PropagatorOptions, numeric, protocols, statespace, w_solve_lambda1
+from cavity_entangler import PropagatorOptions, cli, numeric, protocols, statespace, w_solve_lambda1
 from cavity_entangler.protocols import CAVITY_TOL, MAX_NUMERIC_W_QUBITS
 
 from conftest import oracle_cluster_protocol, oracle_evolve, oracle_hamiltonian
@@ -144,7 +144,7 @@ class TestClusterRun:
         assert 0.0 <= report.details["cavity_residual"] < CAVITY_TOL[mode]
 
     @pytest.mark.parametrize("mode", ["analytic", "numeric"])
-    def test_mistimed_drain_raises(self, mode, monkeypatch):
+    def test_mistimed_drain_raises(self, mode, monkeypatch, tmp_path, capsys):
         exact = analytic.step_params
 
         def late_drain(lam, kappa, role=analytic.LOAD):
@@ -157,6 +157,21 @@ class TestClusterRun:
         with pytest.raises(FactorizationError) as info:
             run_cluster(EffectiveModel((1.0,) * 4, 0.05), 4, mode)
         assert info.value.residual > 1e-3
+
+        # every analytic sweep row runs the check, the recursion rows too;
+        # numeric rows above the dense cap fail before any work
+        out_csv = tmp_path / "sweep.csv"
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "protocol": "cluster", "N": 12, "lambdas": 1.0, "kappa": 0.0, "mode": mode,
+            "sweep": {"kappa_over_lambda": {"start": 0.05, "stop": 0.05, "steps": 1},
+                      "N_list": [12, 30]},
+        }))
+        assert cli.main(["sweep", "--config", str(config), "--output", str(out_csv)]) == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        statuses = {int(r[1]): r[6] for r in rows}
+        large = "convergence_error" if mode == "analytic" else "error"
+        assert statuses == {12: "convergence_error", 30: large}
 
     def test_out_of_regime_warns(self):
         with pytest.warns(RegimeWarning):
@@ -388,36 +403,3 @@ class TestNumericOracle:
             monkeypatch.setattr(analytic, name, forbidden)
         run_cluster(EffectiveModel((1.0, 1.4, 0.9), 0.05), 3, "numeric")
         run_w(EffectiveModel((1.0, 1.0, 1.3), 0.05), 3, "numeric")
-
-
-class TestInjectPhaseErrors:
-    def test_zero_phases_identity(self):
-        state = ideal_cluster(3)
-        out = inject_phase_errors(state, [0.0, 0.0, 0.0])
-        assert np.allclose(out.amplitudes, state.amplitudes)
-
-    def test_norm_preserved(self, rng):
-        state = ideal_cluster(4)
-        phases = rng.uniform(-np.pi, np.pi, 4)
-        out = inject_phase_errors(state, phases)
-        assert out.norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
-
-    def test_overlap_from_direct_inner_product(self):
-        state = ideal_cluster(3)
-        phi = 0.1
-        out = inject_phase_errors(state, [phi, 0.0, 0.0])
-        # direct overlap: the |1>_1 branch (half the weight) picks up e^{i phi}
-        expected = abs(0.5 + 0.5 * np.exp(1j * phi)) ** 2
-        assert fidelity(out, state) == pytest.approx(expected, abs=1e-12)
-
-    def test_sensitivity_grows_with_phase(self):
-        state = ideal_cluster(3)
-        fids = [
-            fidelity(inject_phase_errors(state, [phi, phi, phi]), state)
-            for phi in (0.0, 0.05, 0.1, 0.2)
-        ]
-        assert all(a >= b for a, b in zip(fids, fids[1:]))
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ArgumentError):
-            inject_phase_errors(ideal_cluster(2), [0.1])
