@@ -240,8 +240,9 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
 
     Per-step norms are 2^{-(k+1)} (|x_k|^2 + |y_k|^2). The fidelity, the
     success probability (the last per-step norm) and the cavity-factorization
-    check come from ``cluster_fidelity_recursive``, the one analytic F and P
-    at every N. The drain's cavity-excited stay coefficient, zero at the
+    check come from ``cluster_fidelity_recursive``'s recursion, the one
+    analytic F and P at every N, run on the coefficients the register loop
+    uses. The drain's cavity-excited stay coefficient, zero at the
     drain root, leaves the weight 2^{-N/2} |stay_c| |y_{N-1}| at photon 1;
     it is reported as ``details["cavity_residual"]``.
     """
@@ -251,8 +252,8 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
             "(use cluster_fidelity_recursive for larger n)"
         )
     schedule = cluster_schedule(model, n)   # validates model/n and the regime
-    fid, p_success = cluster_fidelity_recursive(model, n)
     coeffs, inverse, drain = _step_coefficients(model, n)
+    fid, p_success = _recursion(coeffs, inverse, drain)
 
     x = np.array([1.0], dtype=float)
     y = np.array([1.0], dtype=float)
@@ -339,7 +340,11 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
         raise ArgumentError(f"cluster protocol needs n >= 2, got {n}")
     if model.qubit_count != n:
         raise ArgumentError(f"model has {model.qubit_count} couplings, n = {n}")
-    coeffs, inverse, drain = _step_coefficients(model, n)
+    return _recursion(*_step_coefficients(model, n))
+
+
+def _recursion(coeffs: np.ndarray, inverse: np.ndarray, drain: StepParams) -> Tuple[float, float]:
+    """``cluster_fidelity_recursive`` on the output of ``_step_coefficients``."""
     drain_amp, stay_c = _drain_coefficients(drain)
     a, b, d = coeffs.T
     one, zero = np.ones_like(a), np.zeros_like(a)

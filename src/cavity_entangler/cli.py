@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,7 +38,6 @@ from .errors import (
     NumericError,
     ProtocolError,
     RegimeError,
-    RegimeWarning,
     SectorError,
 )
 from .hamiltonian import (
@@ -147,10 +145,6 @@ class RunConfig:
     sweep: Optional[dict] = None
     output: Optional[str] = None
     extras: dict = field(default_factory=dict)
-
-    @property
-    def kappa_over_lambda(self) -> float:
-        return self.kappa / min(self.lambdas)
 
 
 def _resolve_lambdas(raw, count: int) -> tuple:
@@ -299,15 +293,33 @@ def _fmt(value: float) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _execute(config: RunConfig, n: int, kappa: float):
-    """Run one protocol instance; returns (register, report)."""
-    if config.protocol == "cluster":
-        model = EffectiveModel(_couplings(config.lambdas, n), kappa)
-        return protocols.run_cluster(model, n, config.mode)
-    rest = _couplings(config.lambdas, n - 1)
-    seed = math.sqrt(sum(x * x for x in rest))
-    model = EffectiveModel((seed,) + tuple(rest), kappa)
-    return protocols.run_w(model, n, config.mode)
+def _execute(protocol: str, n: int, lams: tuple, kappa: float, mode: str, convention: str):
+    """The one path from parsed couplings to F and P, for ``run`` and every sweep row.
+
+    Refuses an out-of-regime point, builds the model, runs it, applies the
+    fidelity convention and refuses a non-finite result. ``lams`` are the
+    cluster's N couplings or the W run's rest couplings 2..N. Returns
+    ``(F, P, register, report)``; an analytic cluster runs the O(N) recursion
+    alone, so its register and report are None.
+    """
+    lam_min = min(lams)
+    if out_of_regime(kappa, lam_min):
+        raise RegimeError(f"kappa/lambda = {kappa / lam_min:.6g} is outside the validated regime")
+    register = report = None
+    if protocol == "wstate":
+        # run_w solves the first coupling; lams[0] only seeds the model
+        register, report = protocols.run_w(EffectiveModel(lams[:1] + lams, kappa), n, mode)
+    elif mode == protocols.ANALYTIC:
+        fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
+    else:
+        register, report = protocols.run_cluster(EffectiveModel(lams, kappa), n, mode)
+    if report is not None:
+        fid, p = report.fidelity, report.success_probability
+    if convention == "raw":
+        fid = fid * p
+    if not (math.isfinite(fid) and math.isfinite(p)):
+        raise NumericError(f"non-finite result: F={fid}, P={p}")
+    return fid, p, register, report
 
 
 def cmd_run(config: RunConfig, args) -> int:
@@ -322,27 +334,12 @@ def cmd_run(config: RunConfig, args) -> int:
             f"--dump-state writes the dense register and is capped at "
             f"{statespace.MAX_DENSE_QUBITS} register qubits, got {register_qubits}"
         )
-    if out_of_regime(config.kappa, min(config.lambdas)):
-        print(
-            f"error: kappa/lambda = {config.kappa_over_lambda:.6g} outside the validated regime "
-            f"kappa/lambda <= {REGIME_MAX_KAPPA_OVER_LAMBDA}",
-            file=sys.stderr,
-        )
-        return EXIT_REGIME
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        register, report = _execute(config, config.n, config.kappa)
-
-    fid = report.fidelity
-    if args.fidelity_convention == "raw":
-        fid = fid * report.success_probability
-    if not (math.isfinite(fid) and math.isfinite(report.success_probability)):
-        raise NumericError(f"non-finite result: F={fid}, P={report.success_probability}")
+    fid, p, register, report = _execute(config.protocol, config.n, config.lambdas,
+                                        config.kappa, config.mode, args.fidelity_convention)
     print(f"protocol={config.protocol}")
     print(f"N={config.n}")
     print(f"mode={config.mode}")
-    print(f"kappa_over_lambda={_fmt(report.kappa_over_lambda)}")
+    print(f"kappa_over_lambda={_fmt(config.kappa / min(config.lambdas))}")
     if config.protocol == "wstate":
         sol = report.details["solution"]
         print(f"lambda1={_fmt(sol.lambda1)}")
@@ -350,11 +347,14 @@ def cmd_run(config: RunConfig, args) -> int:
         print(f"qubit1_residual={report.details['qubit1_residual']:.3e}")
         print(f"cavity_residual={report.details['cavity_residual']:.3e}")
     print(f"F={fid:.12f}")
-    print(f"P={report.success_probability:.12f}")
+    print(f"P={p:.12f}")
 
     if args.dump_state:
         if config.protocol == "wstate":
             register = register.to_dense()
+        elif register is None:
+            model = EffectiveModel(config.lambdas, config.kappa)
+            register = analytic.cluster_analytic(model, config.n)[0]
         with open(args.dump_state, "w", encoding="utf-8") as fh:
             statespace.write_state_dump(register, fh)
         print(f"dump_state={args.dump_state}")
@@ -366,23 +366,21 @@ def cmd_run(config: RunConfig, args) -> int:
 
 
 def _dump_hamiltonians(config: RunConfig, path: str) -> None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        lines = []
-        if config.protocol == "cluster":
-            model = EffectiveModel(config.lambdas, config.kappa)
-            schedule = analytic.cluster_schedule(model, config.n)
-            for j, lam, duration in schedule.steps:
-                h = build_effective(model.with_active({j}), config.n, 2)
-                lines.append(f"# step {j} qubit {j} lambda {_fmt(lam)} duration {_fmt(duration)}")
-                lines.extend(statespace.matrix_dump_lines(h.matrix))
-        else:
-            rest = config.lambdas
-            sol = analytic.w_solve_lambda1(rest, config.kappa)
-            model = EffectiveModel((sol.lambda1,) + tuple(rest), config.kappa)
-            h = build_effective(model, config.n, 2)
-            lines.append(f"# simultaneous coupling duration {_fmt(sol.duration)}")
+    lines = []
+    if config.protocol == "cluster":
+        model = EffectiveModel(config.lambdas, config.kappa)
+        schedule = analytic.cluster_schedule(model, config.n)
+        for j, lam, duration in schedule.steps:
+            h = build_effective(model.with_active({j}), config.n, 2)
+            lines.append(f"# step {j} qubit {j} lambda {_fmt(lam)} duration {_fmt(duration)}")
             lines.extend(statespace.matrix_dump_lines(h.matrix))
+    else:
+        rest = config.lambdas
+        sol = analytic.w_solve_lambda1(rest, config.kappa)
+        model = EffectiveModel((sol.lambda1,) + tuple(rest), config.kappa)
+        h = build_effective(model, config.n, 2)
+        lines.append(f"# simultaneous coupling duration {_fmt(sol.duration)}")
+        lines.extend(statespace.matrix_dump_lines(h.matrix))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -395,33 +393,16 @@ def _sweep_point(task: tuple) -> tuple:
     """One grid point; returns (N, ratio, fidelity, P, runtime, status)."""
     protocol, n, ratio, lambdas, mode, convention = task
     start = time.perf_counter()
+    fid = p = float("nan")
     try:
-        if ratio > REGIME_MAX_KAPPA_OVER_LAMBDA:
-            raise RegimeError(
-                f"kappa/lambda = {ratio:.6g} > {REGIME_MAX_KAPPA_OVER_LAMBDA}"
-            )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
-            kappa = ratio * min(lams)
-            if protocol == "cluster" and mode == protocols.ANALYTIC:
-                fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
-            else:
-                _, report = _execute(RunConfig(protocol, n, lams, kappa, mode), n, kappa)
-                fid, p = report.fidelity, report.success_probability
-        if not (math.isfinite(fid) and math.isfinite(p)):
-            raise NumericError(f"non-finite result: F={fid}, P={p}")
-        if convention == "raw":
-            fid = fid * p
+        lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
+        fid, p, _, _ = _execute(protocol, n, lams, ratio * min(lams), mode, convention)
         status = "ok"
     except RegimeError:
-        fid = p = float("nan")
         status = "regime_error"
     except (ConvergenceError, FactorizationError, ProtocolError):
-        fid = p = float("nan")
         status = "convergence_error"
     except CavityEntanglerError:
-        fid = p = float("nan")
         status = "error"
     runtime = time.perf_counter() - start
     return (n, ratio, fid, p, runtime, status)
@@ -566,9 +547,7 @@ def three_level_transfer_fidelity(g: float, omega: float, delta: float) -> float
     model = ThreeLevelModel((g,), (omega,), (delta,), strict=False)
     lam = effective_coupling(g, omega, delta)
     t = analytic.step_params(lam, 0.0).duration
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        h3 = build_full_rotated(model, 1, 2)
+    h3 = build_full_rotated(model, 1, 2)
     psi0 = np.zeros(6, dtype=complex)
     psi0[1 * 2 + 0] = 1.0                       # level |1>, zero photons
     out = numeric.evolve_vector(h3.matrix, psi0, t)
@@ -582,18 +561,16 @@ def cmd_validate(config: Optional[RunConfig], args) -> int:
     extras = config.extras if config is not None else {}
     failed = False
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
-        checks = [
-            ("full_transfer_roots", _check_full_transfer),
-            ("cluster_equivalence", _check_cluster_equivalence),
-            ("w_amplitudes_oracle", _check_w_oracle),
-            ("w_cancellation", _check_w_cancellation),
-        ]
-        for name, fn in checks:
-            ok, residual = fn(rng)
-            failed |= not ok
-            print(f"check={name} status={'pass' if ok else 'fail'} residual={residual:.3e}")
+    checks = [
+        ("full_transfer_roots", _check_full_transfer),
+        ("cluster_equivalence", _check_cluster_equivalence),
+        ("w_amplitudes_oracle", _check_w_oracle),
+        ("w_cancellation", _check_w_cancellation),
+    ]
+    for name, fn in checks:
+        ok, residual = fn(rng)
+        failed |= not ok
+        print(f"check={name} status={'pass' if ok else 'fail'} residual={residual:.3e}")
 
     tl = dict(THREE_LEVEL_DEFAULTS)
     tl.update(extras.get("three_level", {}))

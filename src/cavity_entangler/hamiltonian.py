@@ -71,7 +71,7 @@ class EffectiveModel:
         lam_min = self._min_active_coupling()
         if lam_min <= 0:
             raise ArgumentError("all active couplings must be > 0")
-        if self.out_of_regime:
+        if out_of_regime(self.kappa, lam_min):
             warnings.warn(
                 f"kappa/min(lambda) = {self.kappa / lam_min:.3g} exceeds the supported regime "
                 f"(<= {REGIME_MAX_KAPPA_OVER_LAMBDA}); results are not validated there",

@@ -15,20 +15,13 @@ uncoupled.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import analytic, metrics, numeric, statespace
-from .errors import (
-    ArgumentError,
-    CapacityError,
-    ProtocolError,
-    RegimeWarning,
-)
+from .errors import ArgumentError, CapacityError, ProtocolError
 from .hamiltonian import (
-    REGIME_MAX_KAPPA_OVER_LAMBDA,
     EffectiveModel,
     build_effective,
     build_single_excitation,
@@ -53,16 +46,6 @@ MAX_NUMERIC_W_QUBITS = 1000
 def _check_mode(mode: str) -> None:
     if mode not in (ANALYTIC, NUMERIC):
         raise ArgumentError(f"mode must be 'analytic' or 'numeric', got {mode!r}")
-
-
-def _warn_if_out_of_regime(model: EffectiveModel) -> None:
-    if model.out_of_regime:
-        warnings.warn(
-            f"protocol run at kappa/lambda = {model.kappa_over_lambda:.3g} is outside the "
-            f"supported regime (<= {REGIME_MAX_KAPPA_OVER_LAMBDA})",
-            RegimeWarning,
-            stacklevel=3,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +93,6 @@ def run_cluster(
             f"dense protocol execution capped at {analytic.MAX_DENSE_QUBITS} qubits "
             "(use cluster_fidelity_recursive for larger registers)"
         )
-    _warn_if_out_of_regime(model)
     if mode == ANALYTIC:
         return analytic.cluster_analytic(model, n)
 
@@ -182,7 +164,6 @@ def run_w(
     rest = model.lambdas[1:]
     solution = analytic.w_solve_lambda1(rest, model.kappa)
     solved = EffectiveModel((solution.lambda1,) + rest, model.kappa)
-    _warn_if_out_of_regime(solved)
     t = solution.duration
 
     if mode == ANALYTIC:

@@ -345,6 +345,23 @@ class TestClusterFidelityRecursive:
         cluster_fidelity_recursive(EffectiveModel((1.0,) * n, 0.05), n)
         assert sorted(calls) == [DRAIN, LOAD]
 
+    def test_cluster_analytic_runs_the_step_coefficients_once(self, monkeypatch):
+        # N from the schedule and N from one _step_coefficients pass
+        n = 9
+        calls = []
+        original = analytic.step_params
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "step_params", counting)
+        model = EffectiveModel(tuple(1.0 + 0.1 * k for k in range(n)), 0.05)
+        _, report = cluster_analytic(model, n)
+        assert len(calls) == 2 * n
+        monkeypatch.setattr(analytic, "step_params", original)
+        assert (report.fidelity, report.success_probability) == cluster_fidelity_recursive(model, n)
+
     def test_cluster_analytic_bit_identical_to_per_step_coefficients(self, rng, monkeypatch):
         models = []
         for n in range(2, 17):

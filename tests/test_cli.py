@@ -1,12 +1,13 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cavity_entangler.cli as cli_module
-from cavity_entangler import ArgumentError, kappa_from_quality
+from cavity_entangler import ArgumentError, RegimeWarning, kappa_from_quality
 from cavity_entangler.cli import (
     CSV_HEADER,
     MAX_DUMP_H_QUBITS,
@@ -209,7 +210,7 @@ class TestRunCommand:
         from cavity_entangler import ProtocolError
         import cavity_entangler.cli as cli_module
 
-        def boom(config, n, kappa):
+        def boom(protocol, n, lams, kappa, mode, convention):
             raise ProtocolError("induced failure", residual=1.0)
 
         monkeypatch.setattr(cli_module, "_execute", boom)
@@ -224,7 +225,7 @@ class TestRunCommand:
     def test_numeric_and_sector_errors_exit_3(self, tmp_path, capsys, monkeypatch, error):
         import cavity_entangler
 
-        def boom(config, n, kappa):
+        def boom(protocol, n, lams, kappa, mode, convention):
             raise getattr(cavity_entangler, error)("induced failure")
 
         monkeypatch.setattr(cli_module, "_execute", boom)
@@ -248,20 +249,24 @@ class TestRunCommand:
         assert "finite" in captured.err
 
     def test_non_finite_result_exits_3(self, tmp_path, capsys, monkeypatch):
-        from cavity_entangler import RunReport, ideal_cluster
+        # the executor's own check: the recursion below it is made to return NaN
+        def nan_recursion(model, n):
+            return float("nan"), 1.0
 
-        def nan_report(config, n, kappa):
-            return ideal_cluster(n), RunReport(float("nan"), 1.0, (), "analytic", 0.0)
-
-        monkeypatch.setattr(cli_module, "_execute", nan_report)
+        monkeypatch.setattr(cli_module.analytic, "cluster_fidelity_recursive", nan_recursion)
+        out_csv = tmp_path / "nan.csv"
         cfg = write_config(
-            tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0}
+            tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0,
+                       "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2}}}
         )
         code = main(["run", "--config", cfg])
         captured = capsys.readouterr()
         assert code == 3
         assert "status=ok" not in captured.out
         assert "non-finite" in captured.err
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
+        rows = [l.split(",") for l in out_csv.read_text().splitlines()[1:]]
+        assert [r[6] for r in rows] == ["error", "error"]
 
     def test_dump_h_capped_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(*args):
@@ -337,12 +342,34 @@ class TestRunCommand:
             raise AssertionError("work started before the --dump-state size check")
 
         monkeypatch.setattr(cli_module, "_execute", no_work)
-        cfg = write_config(tmp_path, {"protocol": "wstate", "N": 30, "lambdas": 1.0, "kappa": 0.0})
-        dump = tmp_path / "state.txt"
-        code = main(["run", "--config", cfg, "--dump-state", str(dump)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
-        assert not dump.exists()
+        monkeypatch.setattr(cli_module.analytic, "cluster_analytic", no_work)
+        for protocol, n in (("wstate", 30), ("cluster", 25)):
+            cfg = write_config(tmp_path, {"protocol": protocol, "N": n, "lambdas": 1.0,
+                                          "kappa": 0.0})
+            dump = tmp_path / "state.txt"
+            code = main(["run", "--config", cfg, "--dump-state", str(dump)])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error:")
+            assert not dump.exists()
+
+    @pytest.mark.parametrize("n, ratio", [(30, 0.05), (10**5, 1e-5)])
+    @pytest.mark.parametrize("convention", ["normalized", "raw"])
+    def test_analytic_cluster_run_matches_the_sweep_row(self, tmp_path, capsys, n, ratio,
+                                                        convention):
+        # above the 24-qubit dense cap too: run reports the recursion's F and P
+        lam = 3.0
+        out_csv = tmp_path / "row.csv"
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": n, "lambdas": lam, "kappa": ratio * lam,
+            "sweep": {"kappa_over_lambda": {"start": ratio, "stop": ratio, "steps": 1}}})
+        flags = ["--fidelity-convention", convention]
+        assert main(["run", "--config", cfg] + flags) == 0
+        values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv)] + flags) == 0
+        (row,) = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert row[6] == "ok"
+        assert all(0.1 < float(v) <= 1.0 for v in row[3:5])     # .12f and .12g agree here
+        assert [f"{float(values[key]):.12g}" for key in ("F", "P")] == row[3:5]
 
     def test_dump_hamiltonian(self, tmp_path, capsys):
         cfg = write_config(
@@ -628,6 +655,20 @@ class TestSweepCommand:
         assert statuses.count("regime_error") == 2
         assert statuses.count("ok") == 2
 
+    def test_regime_edge_rows_follow_the_run_rule(self, tmp_path, capsys):
+        # nextafter(0.1, 1) * 3 rounds to 0.1 * 3, a decay rate run accepts
+        lam, top = 3.0, math.nextafter(0.1, 1.0)
+        assert top * lam == 0.1 * lam
+        out_csv = tmp_path / "edge.csv"
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 3, "lambdas": lam, "kappa": 0.1 * lam,
+            "sweep": {"kappa_over_lambda": {"start": 0.1, "stop": top, "steps": 2}}})
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert [r[6] for r in rows] == ["ok", "ok"]
+        assert rows[0][3:5] == rows[1][3:5]
+
     def test_gnuplot_companion_script(self, tmp_path, capsys):
         out_csv = tmp_path / "plot.csv"
         script = tmp_path / "plot.gp"
@@ -708,7 +749,8 @@ class TestValidateCommand:
                 "three_level": {"g": 1.0, "omega": 1.0, "delta": 2.0},
             },
         )
-        code = main(["validate", "--config", cfg])
+        with pytest.warns(RegimeWarning, match=r"max\(g, Omega\)/delta"):
+            code = main(["validate", "--config", cfg])
         out = capsys.readouterr().out
         assert code == 0
         assert "check=three_level status=flagged" in out
@@ -719,3 +761,38 @@ class TestValidateCommand:
         bad = three_level_transfer_fidelity(1.0, 1.0, 2.0)
         assert good >= 0.99
         assert bad < 0.9
+
+
+class TestNoRegimeWarningReachesTheCli:
+    """Every model the CLI builds is inside the regime, so nothing warns; the
+    one warning left is the flagged three-level check of ``validate``
+    (``test_out_of_regime_three_level_flagged_not_failed``)."""
+
+    @pytest.mark.parametrize("protocol", ["cluster", "wstate"])
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_run_with_dumps(self, tmp_path, capsys, protocol, mode):
+        lam = 3.0          # 0.1 * 3.0 / 3.0 rounds to 0.10000000000000002
+        cfg = write_config(tmp_path, {"protocol": protocol, "N": 4, "lambdas": lam,
+                                      "kappa": 0.1 * lam, "mode": mode})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            assert main(["run", "--config", cfg, "--dump-state", str(tmp_path / "s.txt"),
+                         "--dump-h", str(tmp_path / "h.txt")]) == 0
+
+    @pytest.mark.parametrize("protocol", ["cluster", "wstate"])
+    @pytest.mark.parametrize("lam", [3.0, 0.7, 1e7])
+    def test_sweep_up_to_the_edge(self, tmp_path, capsys, protocol, lam):
+        cfg = write_config(tmp_path, {
+            "protocol": protocol, "N": 4, "lambdas": lam, "kappa": 0.0,
+            "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 5},
+                      "N_list": [3, 4, 30]}})
+        out_csv = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
+        assert all(line.endswith(",ok") for line in out_csv.read_text().splitlines()[1:])
+
+    def test_validate_defaults(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
+            assert main(["validate"]) == 0

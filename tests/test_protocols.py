@@ -174,10 +174,13 @@ class TestClusterRun:
         assert statuses == {12: "convergence_error", 30: large}
 
     def test_out_of_regime_warns(self):
+        # the model warns when it is built; running it adds no second warning
         with pytest.warns(RegimeWarning):
             model = EffectiveModel((1.0, 1.0), 0.2)
-        with pytest.warns(RegimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RegimeWarning)
             run_cluster(model, 2, "analytic")
+            run_cluster(model, 2, "numeric")
 
     def test_small_register_rejected(self):
         with pytest.raises(ArgumentError):
@@ -291,6 +294,14 @@ class TestWRun:
         model = EffectiveModel((1.0,) * n, 0.0)
         with pytest.raises(CapacityError):
             run_w(model, n, "numeric")
+
+    def test_out_of_regime_warns_once(self):
+        # the solved model is the one run_w builds, and it warns once
+        with pytest.warns(RegimeWarning):
+            model = EffectiveModel((1.0,) * 3, 0.2)
+        with pytest.warns(RegimeWarning) as record:
+            run_w(model, 3)
+        assert len(record) == 1
 
     def test_regime_edge_built_by_multiplication_does_not_warn(self):
         lam = 3.0          # 0.1 * 3.0 / 3.0 rounds to 0.10000000000000002
