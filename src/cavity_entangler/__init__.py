@@ -39,11 +39,9 @@ from .hamiltonian import (
     build_full_rotated,
     build_single_excitation,
     effective_coupling,
-    excitation_operator,
     kappa_from_quality,
-    number_operator,
 )
-from .metrics import StabilizerReport, fidelity, stabilizer_expectation
+from .metrics import fidelity
 from .numeric import PropagatorOptions, evolve, evolve_vector
 from .protocols import (
     cluster_initial_state,
@@ -56,11 +54,9 @@ from .statespace import (
     BasisLabel,
     SingleExcitation,
     StateVector,
-    apply_sigma_z,
     factor_out_cavity,
     inner,
     make_basis_state,
-    superpose,
 )
 
 __version__ = "0.1.0"
@@ -83,13 +79,11 @@ __all__ = [
     "Schedule",
     "SectorError",
     "SingleExcitation",
-    "StabilizerReport",
     "StateVector",
     "StepParams",
     "ThreeLevelModel",
     "TruncationError",
     "WSolution",
-    "apply_sigma_z",
     "build_effective",
     "build_full_rotated",
     "build_single_excitation",
@@ -100,20 +94,16 @@ __all__ = [
     "effective_coupling",
     "evolve",
     "evolve_vector",
-    "excitation_operator",
     "factor_out_cavity",
     "fidelity",
     "ideal_cluster",
     "inner",
     "kappa_from_quality",
     "make_basis_state",
-    "number_operator",
     "run_cluster",
     "run_w",
     "single_step_map",
-    "stabilizer_expectation",
     "step_params",
-    "superpose",
     "w_amplitudes",
     "w_initial_state",
     "w_solve_lambda1",

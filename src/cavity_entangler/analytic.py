@@ -72,7 +72,6 @@ class StepParams:
     duration: float           # the chosen stay-root time
     swap_amp: float           # e^{-kappa t/4}(lam/G) sin(Gt) = e^{-kappa t/4} at the root
     double_amp: float         # e^{-kappa t/2}
-    role: str = LOAD
 
 
 def step_params(lam: float, kappa: float, role: str = LOAD) -> StepParams:
@@ -104,7 +103,7 @@ def step_params(lam: float, kappa: float, role: str = LOAD) -> StepParams:
         t = math.atan(4.0 * g / kappa) / g
     e = math.exp(-kappa * t / 4.0)
     swap = e * (lam / g) * math.sin(g * t)
-    return StepParams(lam, kappa, g, t, swap, math.exp(-kappa * t / 2.0), role)
+    return StepParams(lam, kappa, g, t, swap, math.exp(-kappa * t / 2.0))
 
 
 def _branch_coefficients(lam: float, kappa: float, duration: float):
@@ -153,18 +152,22 @@ def single_step_map(
     return StateVector(arr.reshape(-1), n, psi.fock_cutoff)
 
 
-def cluster_schedule(model: EffectiveModel, n: int) -> Schedule:
-    """One-qubit-at-a-time schedule: load roots for 1..N-1, drain root for N."""
+def _check_cluster_size(model: EffectiveModel, n: int) -> None:
     if n < 2:
         raise ArgumentError(f"cluster protocol needs n >= 2, got {n}")
     if model.qubit_count != n:
         raise ArgumentError(f"model has {model.qubit_count} couplings, n = {n}")
+
+
+def cluster_schedule(model: EffectiveModel, n: int) -> Schedule:
+    """One-qubit-at-a-time schedule: load roots for 1..N-1, drain root for N."""
+    _check_cluster_size(model, n)
     steps = []
     for j in range(1, n + 1):
         role = LOAD if j < n else DRAIN
         p = step_params(model.lambdas[j - 1], model.kappa, role)
         steps.append((j, p.lam, p.duration))
-    return Schedule(tuple(steps), model.kappa)
+    return Schedule(tuple(steps))
 
 
 def ideal_cluster(n: int) -> StateVector:
@@ -251,8 +254,8 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
             f"dense construction capped at {MAX_DENSE_QUBITS} qubits "
             "(use cluster_fidelity_recursive for larger n)"
         )
-    schedule = cluster_schedule(model, n)   # validates model/n and the regime
-    coeffs, inverse, drain = _step_coefficients(model, n)
+    _check_cluster_size(model, n)
+    coeffs, inverse, drain = _step_coefficients(model, n)   # checks the regime
     fid, p_success = _recursion(coeffs, inverse, drain)
 
     x = np.array([1.0], dtype=float)
@@ -271,12 +274,7 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
         fidelity=fid,
         success_probability=p_success,
         per_step=tuple(per_step),
-        mode="analytic",
-        kappa_over_lambda=model.kappa_over_lambda,
-        details={
-            "schedule": schedule,
-            "cavity_residual": abs(stay_c) * math.sqrt(float(y @ y)) * scale,
-        },
+        details={"cavity_residual": abs(stay_c) * math.sqrt(float(y @ y)) * scale},
     )
     return state, report
 
@@ -336,10 +334,7 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     (``cluster_analytic`` reports them); F agrees with a 120-bit evaluation
     of the recursion to ~1e-12 at N = 20000.
     """
-    if n < 2:
-        raise ArgumentError(f"cluster protocol needs n >= 2, got {n}")
-    if model.qubit_count != n:
-        raise ArgumentError(f"model has {model.qubit_count} couplings, n = {n}")
+    _check_cluster_size(model, n)
     return _recursion(*_step_coefficients(model, n))
 
 

@@ -62,6 +62,8 @@ EXIT_VALIDATE = 4
 MAX_DUMP_H_QUBITS = 10
 # configs hold N couplings, and the recursion's 3x3 maps take 144 bytes per qubit
 MAX_QUBITS = 10**6
+# steps x len(N_list); a CSV row is about 60 bytes, so 10^6 rows is about 60 MB
+MAX_SWEEP_ROWS = 10**6
 
 CSV_HEADER = "protocol,N,kappa_over_lambda,fidelity,success_probability,runtime_s,status"
 
@@ -166,6 +168,8 @@ def _resolve_lambdas(raw, count: int) -> tuple:
         lams = (parse_frequency(raw),) * count
     if min(lams) <= 0:
         raise ArgumentError("couplings must be > 0")
+    if not all(map(math.isfinite, lams)):
+        raise ArgumentError("couplings must be finite")
     return lams
 
 
@@ -204,6 +208,10 @@ def _parse_sweep(sweep, n: int) -> dict:
     n_list = [_qubit_count(m, "sweep.N_list entry") for m in n_list]
     if n_list != sorted(n_list):
         raise ArgumentError("sweep.N_list must be a non-empty increasing list of N >= 2")
+    if steps * len(n_list) > MAX_SWEEP_ROWS:
+        raise ArgumentError(
+            f"sweep has {steps} x {len(n_list)} rows, more than {MAX_SWEEP_ROWS}"
+        )
     return {"kappa_over_lambda": {"start": start, "stop": stop, "steps": steps},
             "N_list": n_list}
 
@@ -261,7 +269,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     else:
         if "Q" not in doc or "nu_c" not in doc:
             raise ArgumentError("'Q' and 'nu_c' must be given together")
-        kappa = kappa_from_quality(parse_plain(doc["Q"]), parse_plain(doc["nu_c"]))
+        q, nu_c = parse_plain(doc["Q"]), parse_plain(doc["nu_c"])
+        if not (math.isfinite(q) and math.isfinite(nu_c)):
+            raise ArgumentError(f"Q and nu_c must be finite, got Q={q}, nu_c={nu_c}")
+        kappa = kappa_from_quality(q, nu_c)
+    if not math.isfinite(kappa):
+        raise ArgumentError(f"kappa must be finite, got {kappa}")
     if kappa < 0:
         raise ArgumentError(f"kappa must be >= 0, got {kappa}")
 

@@ -68,7 +68,10 @@ class EffectiveModel:
             if active and not (1 <= min(active) and max(active) <= n):
                 raise ArgumentError(f"active set {sorted(active)} outside 1..{n}")
         object.__setattr__(self, "active", active)
-        lam_min = self._min_active_coupling()
+        if len(active) == n:   # in range and distinct: all active
+            lam_min = min(lambdas)
+        else:   # inf when no qubit is active
+            lam_min = min((lambdas[j - 1] for j in active), default=math.inf)
         if lam_min <= 0:
             raise ArgumentError("all active couplings must be > 0")
         if out_of_regime(self.kappa, lam_min):
@@ -82,21 +85,6 @@ class EffectiveModel:
     @property
     def qubit_count(self) -> int:
         return len(self.lambdas)
-
-    @property
-    def kappa_over_lambda(self) -> float:
-        return self.kappa / self._min_active_coupling()
-
-    @property
-    def out_of_regime(self) -> bool:
-        """True when kappa exceeds the supported fraction of the smallest active coupling."""
-        return out_of_regime(self.kappa, self._min_active_coupling())
-
-    def _min_active_coupling(self) -> float:
-        """Smallest active coupling; inf when no qubit is active."""
-        if len(self.active) == len(self.lambdas):   # in range and distinct: all active
-            return min(self.lambdas)
-        return min((self.lambdas[j - 1] for j in self.active), default=math.inf)
 
     def with_active(self, active) -> "EffectiveModel":
         return EffectiveModel(self.lambdas, self.kappa, frozenset(active))
@@ -172,29 +160,6 @@ def _kron(*ops) -> np.ndarray:
 
 def _annihilator(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
-
-
-def _site_op(op: np.ndarray, j: int, n: int, levels: int, cutoff: int) -> np.ndarray:
-    """Embed a single-site operator at site j (1-based) with the cavity innermost."""
-    pre = np.eye(levels ** (j - 1), dtype=complex)
-    post = np.eye(levels ** (n - j) * cutoff, dtype=complex)
-    return _kron(pre, op, post)
-
-
-def number_operator(n: int, cutoff: int, levels: int = 2) -> OperatorMatrix:
-    """Cavity photon-number operator a^dag a on the full basis."""
-    a = _annihilator(cutoff)
-    mat = _kron(np.eye(levels**n, dtype=complex), a.conj().T @ a)
-    return OperatorMatrix(mat)
-
-
-def excitation_operator(n: int, cutoff: int) -> OperatorMatrix:
-    """Total excitation a^dag a + sum_j |1>_j<1| (two-level basis)."""
-    mat = number_operator(n, cutoff).matrix.copy()
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    for j in range(1, n + 1):
-        mat += _site_op(p1, j, n, 2, cutoff)
-    return OperatorMatrix(mat)
 
 
 def build_effective(model: EffectiveModel, n: int, cutoff: int = 2) -> OperatorMatrix:

@@ -26,7 +26,7 @@ from .hamiltonian import (
     build_effective,
     build_single_excitation,
 )
-from .records import RunReport, Schedule  # Schedule re-exported: records live in records.py
+from .records import RunReport
 from .statespace import SingleExcitation, StateVector
 
 ANALYTIC = "analytic"
@@ -120,9 +120,7 @@ def run_cluster(
         fidelity=metrics.fidelity(register, analytic.ideal_cluster(n)),
         success_probability=register.norm_sq(),
         per_step=tuple(per_step),
-        mode=mode,
-        kappa_over_lambda=model.kappa_over_lambda,
-        details={"schedule": schedule, "cavity_residual": statespace.cavity_residual(psi)},
+        details={"cavity_residual": statespace.cavity_residual(psi)},
     )
     return register, report
 
@@ -192,8 +190,6 @@ def run_w(
         fidelity=metrics.fidelity(register, target),
         success_probability=register.norm_sq(),
         per_step=per_step,
-        mode=mode,
-        kappa_over_lambda=solved.kappa / min(rest),
         details={
             "solution": solution,
             "qubit1_residual": qubit1_residual,

@@ -7,10 +7,9 @@ from .errors import ArgumentError
 
 @dataclass(frozen=True)
 class Schedule:
-    """Ordered coupling steps (qubit index, coupling rad/s, duration s) plus kappa."""
+    """Ordered coupling steps (qubit index, coupling rad/s, duration s)."""
 
     steps: tuple
-    kappa: float
 
     def __post_init__(self):
         steps = tuple((int(j), float(lam), float(t)) for j, lam, t in self.steps)
@@ -21,10 +20,6 @@ class Schedule:
         if qubits != list(range(1, len(qubits) + 1)):
             raise ArgumentError(f"steps must visit qubits 1..N in order, got {qubits}")
 
-    @property
-    def qubit_count(self) -> int:
-        return len(self.steps)
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -33,8 +28,6 @@ class RunReport:
     fidelity: float
     success_probability: float
     per_step: tuple          # ((step index, norm^2 after step), ...)
-    mode: str
-    kappa_over_lambda: float
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -17,7 +17,7 @@ O(m) in memory and in every metric, with ``to_dense()`` for the dense form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -162,23 +162,6 @@ def make_basis_state(bits: Sequence[int], photon: int, cutoff: int) -> StateVect
     return StateVector(amps, n, cutoff)
 
 
-def superpose(terms: Iterable[tuple]) -> StateVector:
-    """Coefficient-weighted sum of states. No implicit normalization."""
-    terms = list(terms)
-    if not terms:
-        raise ArgumentError("superpose needs at least one term")
-    _, first = terms[0]
-    out = np.zeros_like(first.amplitudes)
-    for coeff, sv in terms:
-        if (sv.qubit_count, sv.fock_cutoff) != (first.qubit_count, first.fock_cutoff):
-            raise ArgumentError(
-                f"mismatched registers: ({sv.qubit_count}, {sv.fock_cutoff}) vs "
-                f"({first.qubit_count}, {first.fock_cutoff})"
-            )
-        out = out + complex(coeff) * sv.amplitudes
-    return StateVector(out, first.qubit_count, first.fock_cutoff)
-
-
 def inner(a, b) -> complex:
     """<a|b>, conjugate-linear in the first argument.
 
@@ -196,21 +179,6 @@ def inner(a, b) -> complex:
             f"{b.qubit_count} qubits, dimension {b.dim}"
         )
     return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def apply_sigma_z(s: StateVector, j: int) -> StateVector:
-    """Apply sigma_z on qubit j in the |1><1| - |0><0| sign convention.
-
-    Flips the sign of every amplitude whose j-th bit is 0 (note this is the
-    negative of the usual Pauli-Z matrix).
-    """
-    if not 1 <= j <= s.qubit_count:
-        raise ArgumentError(f"qubit index {j} out of range 1..{s.qubit_count}")
-    arr = s._grid().copy()
-    sel = [slice(None)] * (s.qubit_count + 1)
-    sel[j - 1] = 0
-    arr[tuple(sel)] *= -1
-    return StateVector(arr.reshape(-1), s.qubit_count, s.fock_cutoff)
 
 
 def cavity_residual(s: StateVector, photon: int = 0) -> float:

@@ -4,9 +4,13 @@ Everything here constructs matrices and states from first principles with
 plain numpy/scipy so the package has something genuinely independent to be
 checked against.
 """
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+from cavity_entangler import StateVector
 
 
 def oracle_hamiltonian(lams, kappa, active, cutoff=2):
@@ -25,6 +29,37 @@ def oracle_hamiltonian(lams, kappa, active, cutoff=2):
         )
     h += -0.5j * kappa * np.kron(np.eye(1 << n, dtype=complex), adag @ a_op)
     return h
+
+
+def number_operator(n, cutoff=2):
+    """Cavity photon number a^dag a: the photon number of each basis ket, cavity innermost."""
+    return np.diag(np.tile(np.arange(cutoff), 1 << n)).astype(complex)
+
+
+def excitation_operator(n, cutoff=2):
+    """Total excitation a^dag a + sum_j |1><1|_j: photon number plus the ket's count of 1 bits."""
+    ones = [bin(bits).count("1") for bits in range(1 << n)]
+    return np.diag(np.add.outer(ones, np.arange(cutoff)).reshape(-1)).astype(complex)
+
+
+def stabilizer_expectation(psi, a):
+    """<K_a> on the normalized qubit register, K_a = sigma_x^(a) sigma_z^(a-1) sigma_z^(a+1).
+
+    sigma_z = |1><1| - |0><0|, the sign convention of the cluster construction;
+    neighbours outside the chain are dropped.
+    """
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([-1.0, 1.0]).astype(complex)
+    k = reduce(np.kron, [x if b == a else z if abs(b - a) == 1 else np.eye(2)
+                         for b in range(1, psi.qubit_count + 1)])
+    amps = psi.amplitudes
+    return float(np.vdot(amps, k @ amps).real / np.vdot(amps, amps).real)
+
+
+def superpose(terms):
+    """Coefficient-weighted sum of (coefficient, StateVector) terms on one register."""
+    _, first = terms[0]
+    return StateVector(sum(c * s.amplitudes for c, s in terms), first.qubit_count, first.fock_cutoff)
 
 
 def oracle_evolve(h, vec, t):

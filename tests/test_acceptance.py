@@ -24,14 +24,14 @@ from cavity_entangler import (
     ideal_cluster,
     kappa_from_quality,
     make_basis_state,
-    number_operator,
     run_cluster,
     run_w,
-    stabilizer_expectation,
     w_amplitudes,
     w_solve_lambda1,
 )
 from cavity_entangler.cli import three_level_transfer_fidelity
+
+from conftest import number_operator, stabilizer_expectation, superpose
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -49,7 +49,7 @@ def test_criterion_1_ideal_limit_exactness():
         state, report = run_cluster(model, n, "analytic")
         worst_f = max(worst_f, abs(report.fidelity - 1.0))
         for a in range(1, n + 1):
-            worst_k = max(worst_k, abs(abs(stabilizer_expectation(state, a).expectation) - 1.0))
+            worst_k = max(worst_k, abs(abs(stabilizer_expectation(state, a)) - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst_f <= 1e-10 and worst_k <= 1e-10 and elapsed < 1.0
     _report(
@@ -276,10 +276,10 @@ def test_criterion_9_norm_decay_law():
     lam, kappa = 1.0, 0.08
     model = EffectiveModel((lam, lam), kappa)
     h = build_effective(model, 2, 2)
-    n_op = number_operator(2, 2).matrix
+    n_op = number_operator(2, 2)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 = make_basis_state([0, 0], 1, 2)
-    from cavity_entangler import StateVector, superpose
+    from cavity_entangler import StateVector
     psi0 = superpose([(0.8, psi0), (0.6, StateVector(amps / np.linalg.norm(amps), 2, 2))])
     dt = 1e-4 / lam
     worst = 0.0

@@ -20,7 +20,6 @@ from cavity_entangler import (
     make_basis_state,
     single_step_map,
     step_params,
-    superpose,
     w_amplitudes,
     w_solve_lambda1,
     w_target,
@@ -346,7 +345,7 @@ class TestClusterFidelityRecursive:
         assert sorted(calls) == [DRAIN, LOAD]
 
     def test_cluster_analytic_runs_the_step_coefficients_once(self, monkeypatch):
-        # N from the schedule and N from one _step_coefficients pass
+        # N from one _step_coefficients pass, and no schedule
         n = 9
         calls = []
         original = analytic.step_params
@@ -358,7 +357,7 @@ class TestClusterFidelityRecursive:
         monkeypatch.setattr(analytic, "step_params", counting)
         model = EffectiveModel(tuple(1.0 + 0.1 * k for k in range(n)), 0.05)
         _, report = cluster_analytic(model, n)
-        assert len(calls) == 2 * n
+        assert len(calls) == n
         monkeypatch.setattr(analytic, "step_params", original)
         assert (report.fidelity, report.success_probability) == cluster_fidelity_recursive(model, n)
 

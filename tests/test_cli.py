@@ -240,6 +240,11 @@ class TestRunCommand:
         {"protocol": "cluster", "N": 4, "lambdas": float("nan"), "kappa": 0.01},
         {"protocol": "cluster", "N": 3, "lambdas": [1.0, float("inf"), 1.0], "kappa": 0.01},
         {"protocol": "wstate", "N": 4, "lambdas": float("nan"), "kappa": 0.0},
+        # a NaN past the first coupling, and kappa, Q or nu_c infinite
+        {"protocol": "cluster", "N": 3, "lambdas": [1.0, float("nan"), 1.0], "kappa": 0.5},
+        {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": float("inf")},
+        {"protocol": "cluster", "N": 3, "lambdas": 1.0, "Q": 1e7, "nu_c": float("inf")},
+        {"protocol": "cluster", "N": 3, "lambdas": 1.0, "Q": float("inf"), "nu_c": 4e10},
     ])
     def test_non_finite_input_exits_1(self, tmp_path, capsys, doc):
         code = main(["run", "--config", write_config(tmp_path, doc)])
@@ -561,22 +566,23 @@ class TestSweepCommand:
                               cli_module._fmt(report.success_probability)]
 
     def test_non_finite_input_rows_are_errors(self, tmp_path, capsys):
+        # a non-finite coupling or kappa is a config error: no row is written
         out_csv = tmp_path / "nan.csv"
-        doc = {
-            "protocol": "cluster",
-            "N": 2,
-            "lambdas": float("nan"),
-            "kappa": 0.0,
-            "sweep": {
-                "kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2},
-                "N_list": [2, 40],
-            },
-            "output": str(out_csv),
-        }
-        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
-        rows = [l.split(",") for l in out_csv.read_text().strip().splitlines()[1:]]
-        assert len(rows) == 4
-        assert all(r[6] == "error" for r in rows)
+        for bad in ({"lambdas": float("nan")}, {"kappa": float("nan")}):
+            doc = {
+                "protocol": "cluster",
+                "N": 2,
+                "lambdas": 1.0,
+                "kappa": 0.0,
+                "sweep": {
+                    "kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2},
+                    "N_list": [2, 40],
+                },
+                "output": str(out_csv),
+            } | bad
+            assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 1
+            assert "finite" in capsys.readouterr().err
+            assert not out_csv.exists()
 
     @staticmethod
     def recording_pool(monkeypatch, cpu_count):
@@ -704,6 +710,24 @@ class TestSweepCommand:
             },
         )
         assert main(["sweep", "--config", cfg]) == 1
+
+    def test_oversized_grid_exits_1_before_any_allocation(self, tmp_path, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the sweep grid was built")
+
+        monkeypatch.setattr(cli_module.np, "linspace", no_grid)
+        grid = {"start": 0.0, "stop": 0.1, "steps": cli_module.MAX_SWEEP_ROWS // 2 + 1}
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0,
+            "sweep": {"kappa_over_lambda": grid, "N_list": [2, 3]}})
+        assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "big.csv")]) == 1
+        assert "rows" in capsys.readouterr().err
+        grid["steps"] = 10**15
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0,
+            "sweep": {"kappa_over_lambda": grid}})
+        assert main(["sweep", "--config", cfg, "--output", str(tmp_path / "big.csv")]) == 1
+        assert not (tmp_path / "big.csv").exists()
 
     def test_large_register_uses_recursion(self, tmp_path, capsys):
         out_csv = tmp_path / "big.csv"

@@ -21,7 +21,6 @@ from cavity_entangler import (
     fidelity,
     ideal_cluster,
     inner,
-    number_operator,
     run_cluster,
     run_w,
     single_step_map,
@@ -32,7 +31,7 @@ from cavity_entangler import (
 from cavity_entangler import PropagatorOptions, cli, numeric, protocols, statespace, w_solve_lambda1
 from cavity_entangler.protocols import CAVITY_TOL, MAX_NUMERIC_W_QUBITS
 
-from conftest import oracle_cluster_protocol, oracle_evolve, oracle_hamiltonian
+from conftest import number_operator, oracle_cluster_protocol, oracle_evolve, oracle_hamiltonian
 
 RK_OPTS = PropagatorOptions(method="adaptive-integrator")
 
@@ -326,7 +325,7 @@ class TestWRun:
         sol = w_solve_lambda1(rest, kappa)
         model = EffectiveModel((sol.lambda1,) + rest, kappa)
         h = build_effective(model, 4, 2)
-        n_op = number_operator(4, 2).matrix
+        n_op = number_operator(4, 2)
         psi0 = w_initial_state(4)
         times = np.linspace(0.0, sol.duration, 201)
         photon = []

@@ -13,14 +13,14 @@ from cavity_entangler import (
     SingleExcitation,
     StateVector,
     TruncationError,
-    apply_sigma_z,
     build_effective,
     factor_out_cavity,
     inner,
     make_basis_state,
-    superpose,
 )
 from cavity_entangler.statespace import BasisLabel, matrix_dump_lines, state_dump_lines
+
+from conftest import superpose
 
 
 def random_state(rng, n, cutoff=2):
@@ -56,26 +56,15 @@ class TestSuperpose:
     def test_plus_state(self):
         k0 = make_basis_state([0], 0, 2)
         k1 = make_basis_state([1], 0, 2)
-        plus = superpose([(1 / math.sqrt(2), k0), (1 / math.sqrt(2), k1)])
+        plus = StateVector((k0.amplitudes + k1.amplitudes) / math.sqrt(2), 1, 2)
         assert plus.norm_sq() == pytest.approx(1.0, abs=1e-15)
 
     def test_cavity_input_superposition(self):
         vac = make_basis_state([0], 0, 2)
         one = make_basis_state([0], 1, 2)
-        cav = superpose([(1 / math.sqrt(2), vac), (1j / math.sqrt(2), one)])
+        cav = StateVector((vac.amplitudes + 1j * one.amplitudes) / math.sqrt(2), 1, 2)
         assert cav.amplitude([0], 1) == pytest.approx(1j / math.sqrt(2))
         assert cav.norm_sq() == pytest.approx(1.0)
-
-    def test_identity_combination(self):
-        k0 = make_basis_state([0], 0, 2)
-        k1 = make_basis_state([1], 0, 2)
-        out = superpose([(1.0, k0), (0.0, k1)])
-        assert np.allclose(out.amplitudes, k0.amplitudes)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ArgumentError):
-            superpose([(1.0, make_basis_state([0], 0, 2)),
-                       (1.0, make_basis_state([0, 0], 0, 2))])
 
 
 class TestInner:
@@ -105,27 +94,6 @@ class TestInner:
             lhs = inner(superpose([(alpha, a), (beta, b)]), c)
             rhs = np.conj(alpha) * inner(a, c) + np.conj(beta) * inner(b, c)
             assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-class TestSigmaZ:
-    def test_sign_convention(self):
-        # |1> is the +1 eigenstate, |0> picks up the minus sign
-        k1 = apply_sigma_z(make_basis_state([1], 0, 2), 1)
-        assert k1.amplitude([1], 0) == 1.0
-        k0 = apply_sigma_z(make_basis_state([0], 0, 2), 1)
-        assert k0.amplitude([0], 0) == -1.0
-
-    def test_involution_and_norm(self, rng):
-        for _ in range(10):
-            s = random_state(rng, 3)
-            j = int(rng.integers(1, 4))
-            twice = apply_sigma_z(apply_sigma_z(s, j), j)
-            assert np.allclose(twice.amplitudes, s.amplitudes, atol=1e-12)
-            assert apply_sigma_z(s, j).norm() == pytest.approx(s.norm(), abs=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(ArgumentError):
-            apply_sigma_z(make_basis_state([0], 0, 2), 2)
 
 
 class TestFactorOutCavity:
