@@ -163,9 +163,8 @@ def cluster_schedule(model: EffectiveModel, n: int) -> Schedule:
     """One-qubit-at-a-time schedule: load roots for 1..N-1, drain root for N."""
     _check_cluster_size(model, n)
     steps = []
-    for j in range(1, n + 1):
-        role = LOAD if j < n else DRAIN
-        p = step_params(model.lambdas[j - 1], model.kappa, role)
+    for j, lam in enumerate(model.lambdas.tolist(), start=1):
+        p = step_params(lam, model.kappa, LOAD if j < n else DRAIN)
         steps.append((j, p.lam, p.duration))
     return Schedule(tuple(steps))
 
@@ -212,7 +211,7 @@ def _step_coefficients(model: EffectiveModel, n: int):
         p = step_params(lam, kappa, LOAD)
         a = p.swap_amp
         coeffs[i] = a, p.double_amp, kappa * a / (2.0 * p.lam)
-    return coeffs, inverse, step_params(model.lambdas[n - 1], kappa, DRAIN)
+    return coeffs, inverse, step_params(float(model.lambdas[n - 1]), kappa, DRAIN)
 
 
 def _drain_coefficients(drain: StepParams):
@@ -453,8 +452,8 @@ def w_solve_lambda1(lambda_rest: Sequence[float], kappa: float) -> WSolution:
     squared-condition residual lands safely below 1e-12.
     """
     rest = _rest_couplings(lambda_rest)
-    if kappa < 0:
-        raise ArgumentError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < math.inf:
+        raise ArgumentError(f"kappa must be finite and >= 0, got {kappa}")
     ap_sq = _sum_sq(rest)
     ap = math.sqrt(ap_sq)
 
@@ -498,11 +497,9 @@ def w_amplitudes(model: EffectiveModel, t: float) -> np.ndarray:
     collective rate B/4, everything orthogonal to it is frozen. Returns the
     N qubit amplitudes followed by the cavity amplitude.
     """
-    if model.active != frozenset(range(1, model.qubit_count + 1)):
-        raise ArgumentError("w_amplitudes requires all qubits active")
-    lams = np.array(model.lambdas)
+    lams = model.lambdas
     kappa = model.kappa
-    lam1 = model.lambdas[0]
+    lam1 = float(lams[0])
     a_sq = lam1 * lam1 + _sum_sq(lams[1:])   # as w_solve_lambda1 forms A^2
     b_sq = 16.0 * a_sq - kappa * kappa
     if b_sq <= 0:
@@ -529,10 +526,10 @@ def w_target(lambda_rest: Sequence[float], kappa: float, t: float) -> SingleExci
 
 
 def _rest_couplings(lambda_rest: Sequence[float]) -> np.ndarray:
-    """The couplings of qubits 2..N as a float array, checked non-empty and > 0."""
-    rest = np.array(lambda_rest, dtype=float)
-    if rest.ndim != 1 or not rest.size or np.any(rest <= 0):
-        raise ArgumentError("lambda_rest must be non-empty with all couplings > 0")
+    """The couplings of qubits 2..N as a float array, checked non-empty, finite and > 0."""
+    rest = np.asarray(lambda_rest, dtype=float)
+    if rest.ndim != 1 or not rest.size or not (np.isfinite(rest).all() and rest.min() > 0):
+        raise ArgumentError("lambda_rest must be non-empty with all couplings finite and > 0")
     return rest
 
 

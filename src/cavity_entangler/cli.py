@@ -47,7 +47,9 @@ from .hamiltonian import (
     ThreeLevelModel,
     build_effective,
     build_full_rotated,
+    decay_term,
     effective_coupling,
+    exchange_term,
     kappa_from_quality,
     out_of_regime,
 )
@@ -141,7 +143,7 @@ def _parse_integer(value, name: str) -> int:
 class RunConfig:
     protocol: str
     n: int
-    lambdas: tuple            # cluster: per qubit; wstate: rest couplings 2..N
+    lambdas: np.ndarray       # cluster: per qubit; wstate: rest couplings 2..N
     kappa: float
     mode: str = "analytic"
     sweep: Optional[dict] = None
@@ -149,7 +151,8 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
 
-def _resolve_lambdas(raw, count: int) -> tuple:
+def _resolve_lambdas(raw, count: int) -> np.ndarray:
+    """The config's couplings as a read-only float64 array, checked finite and > 0."""
     if isinstance(raw, dict):
         missing = sorted({"g", "omega", "delta"} - raw.keys())
         if missing:
@@ -159,27 +162,28 @@ def _resolve_lambdas(raw, count: int) -> tuple:
             parse_frequency(raw["omega"]),
             parse_frequency(raw["delta"]),
         )
-        lams = (lam,) * count
+        lams = np.full(count, lam)
     elif isinstance(raw, (list, tuple)):
-        lams = tuple(parse_frequency(v) for v in raw)
-        if len(lams) != count:
-            raise ArgumentError(f"expected {count} couplings, got {len(lams)}")
+        lams = np.array([parse_frequency(v) for v in raw])
+        if lams.size != count:
+            raise ArgumentError(f"expected {count} couplings, got {lams.size}")
     else:
-        lams = (parse_frequency(raw),) * count
-    if min(lams) <= 0:
+        lams = np.full(count, parse_frequency(raw))
+    if lams.min() <= 0:
         raise ArgumentError("couplings must be > 0")
-    if not all(map(math.isfinite, lams)):
+    if not np.isfinite(lams).all():
         raise ArgumentError("couplings must be finite")
+    lams.flags.writeable = False
     return lams
 
 
-def _couplings(lambdas: tuple, count: int) -> tuple:
-    """The first ``count`` couplings; a shorter tuple is one coupling, broadcast.
+def _couplings(lambdas: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` couplings; a shorter array is one coupling, broadcast.
 
     ``config_from_dict`` refuses per-qubit lists shorter than the largest N,
     so the broadcast branch only sees equal couplings.
     """
-    return lambdas[:count] if len(lambdas) >= count else (lambdas[0],) * count
+    return lambdas[:count] if lambdas.size >= count else np.full(count, lambdas[0])
 
 
 def _qubit_count(value, name: str) -> int:
@@ -269,10 +273,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     else:
         if "Q" not in doc or "nu_c" not in doc:
             raise ArgumentError("'Q' and 'nu_c' must be given together")
-        q, nu_c = parse_plain(doc["Q"]), parse_plain(doc["nu_c"])
-        if not (math.isfinite(q) and math.isfinite(nu_c)):
-            raise ArgumentError(f"Q and nu_c must be finite, got Q={q}, nu_c={nu_c}")
-        kappa = kappa_from_quality(q, nu_c)
+        kappa = kappa_from_quality(parse_plain(doc["Q"]), parse_plain(doc["nu_c"]))
     if not math.isfinite(kappa):
         raise ArgumentError(f"kappa must be finite, got {kappa}")
     if kappa < 0:
@@ -306,7 +307,7 @@ def _fmt(value: float) -> str:
 # run
 # ---------------------------------------------------------------------------
 
-def _execute(protocol: str, n: int, lams: tuple, kappa: float, mode: str, convention: str):
+def _execute(protocol: str, n: int, lams: np.ndarray, kappa: float, mode: str, convention: str):
     """The one path from parsed couplings to F and P, for ``run`` and every sweep row.
 
     Refuses an out-of-regime point, builds the model, runs it, applies the
@@ -315,13 +316,14 @@ def _execute(protocol: str, n: int, lams: tuple, kappa: float, mode: str, conven
     ``(F, P, register, report)``; an analytic cluster runs the O(N) recursion
     alone, so its register and report are None.
     """
-    lam_min = min(lams)
+    lam_min = float(lams.min())
     if out_of_regime(kappa, lam_min):
         raise RegimeError(f"kappa/lambda = {kappa / lam_min:.6g} is outside the validated regime")
     register = report = None
     if protocol == "wstate":
         # run_w solves the first coupling; lams[0] only seeds the model
-        register, report = protocols.run_w(EffectiveModel(lams[:1] + lams, kappa), n, mode)
+        register, report = protocols.run_w(
+            EffectiveModel(np.concatenate((lams[:1], lams)), kappa), n, mode)
     elif mode == protocols.ANALYTIC:
         fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
     else:
@@ -352,7 +354,7 @@ def cmd_run(config: RunConfig, args) -> int:
     print(f"protocol={config.protocol}")
     print(f"N={config.n}")
     print(f"mode={config.mode}")
-    print(f"kappa_over_lambda={_fmt(config.kappa / min(config.lambdas))}")
+    print(f"kappa_over_lambda={_fmt(config.kappa / float(config.lambdas.min()))}")
     if config.protocol == "wstate":
         sol = report.details["solution"]
         print(f"lambda1={_fmt(sol.lambda1)}")
@@ -384,13 +386,13 @@ def _dump_hamiltonians(config: RunConfig, path: str) -> None:
         model = EffectiveModel(config.lambdas, config.kappa)
         schedule = analytic.cluster_schedule(model, config.n)
         for j, lam, duration in schedule.steps:
-            h = build_effective(model.with_active({j}), config.n, 2)
+            h = lam * exchange_term(config.n, j) + decay_term(config.n, config.kappa)
             lines.append(f"# step {j} qubit {j} lambda {_fmt(lam)} duration {_fmt(duration)}")
-            lines.extend(statespace.matrix_dump_lines(h.matrix))
+            lines.extend(statespace.matrix_dump_lines(h))
     else:
         rest = config.lambdas
         sol = analytic.w_solve_lambda1(rest, config.kappa)
-        model = EffectiveModel((sol.lambda1,) + tuple(rest), config.kappa)
+        model = EffectiveModel(np.concatenate(([sol.lambda1], rest)), config.kappa)
         h = build_effective(model, config.n, 2)
         lines.append(f"# simultaneous coupling duration {_fmt(sol.duration)}")
         lines.extend(statespace.matrix_dump_lines(h.matrix))
@@ -409,7 +411,7 @@ def _sweep_point(task: tuple) -> tuple:
     fid = p = float("nan")
     try:
         lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
-        fid, p, _, _ = _execute(protocol, n, lams, ratio * min(lams), mode, convention)
+        fid, p, _, _ = _execute(protocol, n, lams, ratio * float(lams.min()), mode, convention)
         status = "ok"
     except RegimeError:
         status = "regime_error"
@@ -614,40 +616,40 @@ def cmd_validate(config: Optional[RunConfig], args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ArgumentError (exit 1); argparse would exit 2, the regime code."""
+
+    def error(self, message):
+        raise ArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavity-entangler",
         description="Cluster-state and W-state preparation with cavity decay",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "validate"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file",
-                       required=(name != "validate"))
-        p.add_argument("--dump-state", help="write the output register state")
-        p.add_argument("--dump-h", help="write the Hamiltonian matrices")
-        p.add_argument("--output", help="CSV output path (sweep)")
-        p.add_argument("--gnuplot", help="also write a gnuplot script (sweep)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-        p.add_argument(
-            "--fidelity-convention",
-            choices=("normalized", "raw"),
-            default="normalized",
-        )
+    run, sweep, validate = (sub.add_parser(name) for name in ("run", "sweep", "validate"))
+    for p in (run, sweep, validate):
+        p.add_argument("--config", help="JSON config file", required=(p is not validate))
+    for p in (run, sweep):
+        p.add_argument("--fidelity-convention", choices=("normalized", "raw"),
+                       default="normalized")
+    run.add_argument("--dump-state", help="write the output register state")
+    run.add_argument("--dump-h", help="write the Hamiltonian matrices")
+    sweep.add_argument("--output", help="CSV output path")
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+    sweep.add_argument("--gnuplot", help="also write a gnuplot script")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config) if args.config else None
         if args.command == "run":
-            if config is None:
-                raise ArgumentError("run requires --config")
             return cmd_run(config, args)
         if args.command == "sweep":
-            if config is None:
-                raise ArgumentError("sweep requires --config")
             return cmd_sweep(config, args)
         return cmd_validate(config, args)
     except RegimeError as exc:

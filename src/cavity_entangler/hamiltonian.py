@@ -39,41 +39,30 @@ def out_of_regime(kappa: float, lam_min: float) -> bool:
     return kappa > REGIME_MAX_KAPPA_OVER_LAMBDA * lam_min
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectiveModel:
-    """Per-qubit couplings lam_j and the cavity decay kappa for the exchange model."""
+    """Per-qubit couplings lam_j (an owned, read-only float64 array) and the cavity decay kappa."""
 
-    lambdas: tuple
+    lambdas: np.ndarray
     kappa: float
-    active: frozenset = None
 
     def __post_init__(self):
-        lambdas = tuple(map(float, self.lambdas))
+        lambdas = np.array(self.lambdas, dtype=float)   # owned copy
+        if lambdas.ndim != 1 or not lambdas.size:
+            raise ArgumentError("lambdas must be a non-empty 1-d sequence")
+        lambdas.flags.writeable = False
         object.__setattr__(self, "lambdas", lambdas)
-        if not lambdas:
-            raise ArgumentError("lambdas must be non-empty")
-        if not (all(map(math.isfinite, lambdas)) and math.isfinite(self.kappa)):
-            bad = sum(not math.isfinite(x) for x in lambdas)
+        finite = np.isfinite(lambdas)
+        if not (finite.all() and math.isfinite(self.kappa)):
             raise ArgumentError(
                 f"couplings and kappa must be finite, got kappa={self.kappa} "
-                f"and {bad} non-finite coupling(s)"
+                f"and {lambdas.size - np.count_nonzero(finite)} non-finite coupling(s)"
             )
         if self.kappa < 0:
             raise ArgumentError(f"kappa must be >= 0, got {self.kappa}")
-        n = len(lambdas)
-        if self.active is None:
-            active = frozenset(range(1, n + 1))
-        else:
-            active = frozenset(map(int, self.active))
-            if active and not (1 <= min(active) and max(active) <= n):
-                raise ArgumentError(f"active set {sorted(active)} outside 1..{n}")
-        object.__setattr__(self, "active", active)
-        if len(active) == n:   # in range and distinct: all active
-            lam_min = min(lambdas)
-        else:   # inf when no qubit is active
-            lam_min = min((lambdas[j - 1] for j in active), default=math.inf)
+        lam_min = float(lambdas.min())
         if lam_min <= 0:
-            raise ArgumentError("all active couplings must be > 0")
+            raise ArgumentError("all couplings must be > 0")
         if out_of_regime(self.kappa, lam_min):
             warnings.warn(
                 f"kappa/min(lambda) = {self.kappa / lam_min:.3g} exceeds the supported regime "
@@ -84,10 +73,7 @@ class EffectiveModel:
 
     @property
     def qubit_count(self) -> int:
-        return len(self.lambdas)
-
-    def with_active(self, active) -> "EffectiveModel":
-        return EffectiveModel(self.lambdas, self.kappa, frozenset(active))
+        return self.lambdas.size
 
 
 @dataclass(frozen=True)
@@ -159,28 +145,41 @@ def _kron(*ops) -> np.ndarray:
 
 
 def _annihilator(cutoff: int) -> np.ndarray:
+    if cutoff < 2:
+        raise ArgumentError(f"cutoff must be >= 2, got {cutoff}")
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
+def exchange_term(n: int, j: int, cutoff: int = 2) -> np.ndarray:
+    """Qubit j's exchange a^dag |0>_j<1| + a |1>_j<0| at unit coupling (n qubits, cavity)."""
+    if not 1 <= j <= n:
+        raise ArgumentError(f"qubit {j} outside 1..{n}")
+    a = _annihilator(cutoff)
+    low = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
+    pre = np.eye(1 << (j - 1), dtype=complex)
+    post = np.eye(1 << (n - j), dtype=complex)
+    return _kron(pre, low, post, a.conj().T) + _kron(pre, low.conj().T, post, a)
+
+
+def decay_term(n: int, kappa: float, cutoff: int = 2) -> np.ndarray:
+    """The cavity decay -i(kappa/2) a^dag a over n qubits and the cavity."""
+    a = _annihilator(cutoff)
+    return -0.5j * kappa * _kron(np.eye(1 << n, dtype=complex), a.conj().T @ a)
+
+
 def build_effective(model: EffectiveModel, n: int, cutoff: int = 2) -> OperatorMatrix:
-    """Exchange Hamiltonian with decay; anti-Hermitian part is exactly -i(kappa/2) a^dag a."""
-    if cutoff < 2:
-        raise ArgumentError(f"cutoff must be >= 2, got {cutoff}")
+    """Exchange Hamiltonian with decay: every qubit's exchange term plus the decay term.
+
+    The anti-Hermitian part is exactly -i(kappa/2) a^dag a. A step that couples
+    one qubit alone is ``lam * exchange_term(n, j) + decay_term(n, kappa)``.
+    """
     if n != model.qubit_count:
         raise ArgumentError(f"n = {n} but model has {model.qubit_count} couplings")
-    a = _annihilator(cutoff)
-    adag = a.conj().T
-    low = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
-    raise_ = low.conj().T
-    dim = (1 << n) * cutoff
-    h = np.zeros((dim, dim), dtype=complex)
-    eye_q = np.eye(1 << n, dtype=complex)
-    for j in sorted(model.active):
-        lam = model.lambdas[j - 1]
-        pre = np.eye(1 << (j - 1), dtype=complex)
-        post = np.eye(1 << (n - j), dtype=complex)
-        h += lam * (_kron(pre, low, post, adag) + _kron(pre, raise_, post, a))
-    h += -0.5j * model.kappa * _kron(eye_q, adag @ a)
+    decay = decay_term(n, model.kappa, cutoff)
+    h = np.zeros_like(decay)
+    for j, lam in enumerate(model.lambdas.tolist(), start=1):
+        h += lam * exchange_term(n, j, cutoff)
+    h += decay
     return OperatorMatrix(h)
 
 
@@ -195,8 +194,7 @@ def build_single_excitation(model: EffectiveModel, n: int) -> OperatorMatrix:
     if n != model.qubit_count:
         raise ArgumentError(f"n = {n} but model has {model.qubit_count} couplings")
     h = np.zeros((n + 1, n + 1), dtype=complex)
-    for j in sorted(model.active):
-        h[j - 1, n] = h[n, j - 1] = model.lambdas[j - 1]
+    h[:n, n] = h[n, :n] = model.lambdas
     h[n, n] = -0.5j * model.kappa
     return OperatorMatrix(h)
 
@@ -210,8 +208,6 @@ def build_full_rotated(model: ThreeLevelModel, n: int, cutoff: int = 2) -> Opera
     (the elimination check is a per-qubit statement, so the 3^N basis is
     never needed beyond that).
     """
-    if cutoff < 2:
-        raise ArgumentError(f"cutoff must be >= 2, got {cutoff}")
     if n != model.qubit_count:
         raise ArgumentError(f"n = {n} but model has {model.qubit_count} qubits")
     if n > 2:
@@ -237,13 +233,13 @@ def build_full_rotated(model: ThreeLevelModel, n: int, cutoff: int = 2) -> Opera
 
 def effective_coupling(g: float, omega: float, delta: float) -> float:
     """Second-order qubit-cavity coupling g*Omega/delta from eliminating level |2>."""
-    if delta <= 0:
-        raise ArgumentError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(g) and math.isfinite(omega) and 0 < delta < math.inf):
+        raise ArgumentError(f"need finite g, omega and delta > 0, got {g}, {omega}, {delta}")
     return g * omega / delta
 
 
 def kappa_from_quality(q: float, nu_c: float) -> float:
     """Cavity decay rate kappa = 2*pi*nu_c / Q from quality factor and frequency (Hz)."""
-    if q <= 0 or nu_c <= 0:
-        raise ArgumentError(f"Q and nu_c must be > 0, got Q={q}, nu_c={nu_c}")
+    if not (0 < q < math.inf and 0 < nu_c < math.inf):
+        raise ArgumentError(f"Q and nu_c must be finite and > 0, got Q={q}, nu_c={nu_c}")
     return 2.0 * math.pi * nu_c / q

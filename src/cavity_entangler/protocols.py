@@ -9,8 +9,8 @@ its propagator is the exponential of that qubit-cavity generator, applied to
 the joint state on the (qubit, cavity) axes in O(2^N). The W Hamiltonian
 conserves excitation number, so the W run evolves the (N+1)-dimensional
 single-excitation block. Coupling/decoupling a qubit is modeled as
-instantaneous switching of the active set; inactive qubits are strictly
-uncoupled.
+instantaneous switching: a step's generator holds the coupled qubit's exchange
+term and the decay term alone, so uncoupled qubits are strictly uncoupled.
 """
 from __future__ import annotations
 
@@ -21,11 +21,7 @@ import numpy as np
 
 from . import analytic, metrics, numeric, statespace
 from .errors import ArgumentError, CapacityError, ProtocolError
-from .hamiltonian import (
-    EffectiveModel,
-    build_effective,
-    build_single_excitation,
-)
+from .hamiltonian import EffectiveModel, build_single_excitation, decay_term, exchange_term
 from .records import RunReport
 from .statespace import SingleExcitation, StateVector
 
@@ -101,10 +97,9 @@ def run_cluster(
     psi = cluster_initial_state(n)
     cutoff = psi.fock_cutoff
     grid = psi._grid()
-    # one qubit plus the cavity: the generator of a step at coupling lam is
-    # lam * exchange + decay (disjoint entries, so exactly build_effective's)
-    exchange = build_effective(EffectiveModel((1.0,), 0.0), 1, cutoff).matrix
-    decay = build_effective(EffectiveModel((1.0,), model.kappa, frozenset()), 1, cutoff).matrix
+    # one qubit plus the cavity: a step at coupling lam has generator lam * exchange + decay
+    exchange = exchange_term(1, 1, cutoff)
+    decay = decay_term(1, model.kappa, cutoff)
     identity = np.eye(exchange.shape[0])
     per_step = []
     for idx, (j, lam, duration) in enumerate(schedule.steps, start=1):
@@ -161,7 +156,7 @@ def run_w(
         raise ArgumentError(f"model has {model.qubit_count} couplings, n = {n}")
     rest = model.lambdas[1:]
     solution = analytic.w_solve_lambda1(rest, model.kappa)
-    solved = EffectiveModel((solution.lambda1,) + rest, model.kappa)
+    solved = EffectiveModel(np.concatenate(([solution.lambda1], rest)), model.kappa)
     t = solution.duration
 
     if mode == ANALYTIC:

@@ -97,11 +97,6 @@ class StateVector:
             bits_int = (bits_int << 1) | b
         return bits_int * self.fock_cutoff + label.photon_number
 
-    def label_of(self, index: int) -> BasisLabel:
-        bits_int, photon = divmod(index, self.fock_cutoff)
-        bits = tuple((bits_int >> (self.qubit_count - 1 - j)) & 1 for j in range(self.qubit_count))
-        return BasisLabel(bits, photon)
-
     def amplitude(self, bits: Sequence[int], photon: int = 0) -> complex:
         return complex(self.amplitudes[self.index_of(BasisLabel(tuple(bits), photon))])
 
@@ -217,14 +212,13 @@ def factor_out_cavity(s: StateVector, photon: int = 0, tol: float = 1e-9) -> Sta
 # --dump-state flag and the matrix dump (rows "row col re im").
 
 def state_dump_lines(s: StateVector) -> list:
+    index = np.flatnonzero(s.amplitudes)
+    amps = s.amplitudes[index]
+    width = f"0{s.qubit_count}b"
     lines = []
-    for idx in range(s.dim):
-        amp = s.amplitudes[idx]
-        if amp == 0:
-            continue
-        label = s.label_of(idx)
-        bits = "".join(str(b) for b in label.qubit_bits)
-        lines.append(f"{bits} {label.photon_number} {amp.real:.17g} {amp.imag:.17g}")
+    for idx, real, imag in zip(index.tolist(), amps.real.tolist(), amps.imag.tolist()):
+        bits, photon = divmod(idx, s.fock_cutoff)
+        lines.append(f"{format(bits, width)} {photon} {real:.17g} {imag:.17g}")
     return lines
 
 

@@ -458,6 +458,12 @@ class TestWSolve:
         with pytest.raises(ArgumentError):
             w_solve_lambda1([1.0, -1.0], 0.0)
 
+    @pytest.mark.parametrize("rest, kappa", [((math.nan,), 0.0), ((1.0, math.inf), 0.0),
+                                             ((1.0,), math.nan), ((1.0,), math.inf)])
+    def test_non_finite_inputs_rejected(self, rest, kappa):
+        with pytest.raises(ArgumentError):
+            w_solve_lambda1(rest, kappa)
+
 
 class TestWAmplitudes:
     def test_initial_condition(self):
@@ -499,7 +505,7 @@ class TestWAmplitudes:
 
     def test_overdamped_rejected(self):
         with pytest.warns(Warning):
-            model = EffectiveModel((0.01,), 10.0, active={1})
+            model = EffectiveModel((0.01,), 10.0)
         with pytest.raises(RegimeError):
             w_amplitudes(model, 1.0)
 

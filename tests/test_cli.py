@@ -63,7 +63,7 @@ class TestConfigParsing:
             {"protocol": "cluster", "N": 2, "kappa": 0.0,
              "lambdas": {"g": 1.8e8, "omega": 8.5e7, "delta": 1.5e9}}
         )
-        assert cfg.lambdas == (pytest.approx(1.02e7),) * 2
+        assert cfg.lambdas.tolist() == [pytest.approx(1.02e7)] * 2
 
     def test_wstate_lambdas_are_rest_couplings(self):
         cfg = config_from_dict(
@@ -78,7 +78,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("value", [4, 4.0, "4"])
     def test_integral_n_accepted(self, value):
         cfg = config_from_dict({"protocol": "cluster", "N": value, "lambdas": 1.0, "kappa": 0})
-        assert cfg.n == 4 and cfg.lambdas == (1.0,) * 4
+        assert cfg.n == 4 and cfg.lambdas.tolist() == [1.0] * 4
 
     def test_per_qubit_lambdas_covering_the_sweep_accepted(self):
         cfg = config_from_dict(
@@ -122,7 +122,8 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("doc", list(_BAD_CONFIGS.values()), ids=list(_BAD_CONFIGS))
     def test_bad_config_exits_1(self, tmp_path, capsys, command, doc):
         cfg = write_config(tmp_path, doc)
-        code = main([command, "--config", cfg, "--output", str(tmp_path / "out.csv")])
+        output = ["--output", str(tmp_path / "out.csv")] if command == "sweep" else []
+        code = main([command, "--config", cfg] + output)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:")
@@ -136,6 +137,44 @@ class TestConfigBoundary:
         path.write_bytes(content)
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+class TestUsage:
+    """Usage errors exit 1 like config errors; each subcommand takes only the flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],
+        ["sweep"],
+        [],
+        ["sweep", "--config", "{cfg}", "--jobs", "x"],
+        ["run", "--config", "{cfg}", "--fidelity-convention", "other"],
+        ["run", "--config", "{cfg}", "--output", "{out}"],
+        ["run", "--config", "{cfg}", "--jobs", "2"],
+        ["run", "--config", "{cfg}", "--gnuplot", "{out}"],
+        ["sweep", "--config", "{cfg}", "--dump-h", "{out}"],
+        ["sweep", "--config", "{cfg}", "--dump-state", "{out}"],
+        ["validate", "--jobs", "4", "--dump-h", "{out}"],
+        ["validate", "--fidelity-convention", "raw"],
+        ["validate", "--output", "{out}"],
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {"protocol": "cluster", "N": 4, "lambdas": 1.0,
+                                      "kappa": 0.0, "output": str(tmp_path / "c.csv")})
+        out = tmp_path / "out.txt"
+        code = main([arg.format(cfg=cfg, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: cavity-entangler")
+        assert captured.out == ""
+        assert not out.exists() and not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["sweep", "-h"],
+                                      ["validate", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: cavity-entangler" in capsys.readouterr().out
 
 
 _JSON = st.recursive(

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -16,15 +18,29 @@ from cavity_entangler import (
     effective_coupling,
     kappa_from_quality,
 )
-from cavity_entangler.hamiltonian import out_of_regime
+from cavity_entangler.hamiltonian import decay_term, exchange_term, out_of_regime
 
 from conftest import excitation_operator, number_operator, oracle_hamiltonian
 
 
 class TestEffectiveModel:
-    def test_active_defaults_to_all(self):
-        m = EffectiveModel((1.0, 2.0), 0.1)
-        assert m.active == frozenset({1, 2})
+    def test_fields_are_the_couplings_and_kappa(self):
+        assert [f.name for f in dataclasses.fields(EffectiveModel)] == ["lambdas", "kappa"]
+
+    def test_lambdas_are_an_owned_read_only_array(self):
+        lams = np.array([1.0, 2.0])
+        m = EffectiveModel(lams, 0.1)
+        lams[0] = 5.0
+        assert m.lambdas.dtype == np.float64 and m.lambdas.tolist() == [1.0, 2.0]
+        assert not m.lambdas.flags.writeable
+        with pytest.raises(ValueError):
+            m.lambdas[0] = 5.0
+        assert EffectiveModel((1, 2), 0.1).lambdas.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("lams", [(), [[1.0, 2.0]], 1.0])
+    def test_empty_or_non_vector_couplings_rejected(self, lams):
+        with pytest.raises(ArgumentError):
+            EffectiveModel(lams, 0.0)
 
     def test_out_of_regime_flagged_not_rejected(self):
         with pytest.warns(RegimeWarning):
@@ -49,17 +65,12 @@ class TestEffectiveModel:
         with pytest.raises(ArgumentError):
             EffectiveModel((0.0,), 0.0)
 
-    def test_inactive_coupling_may_be_anything(self):
-        EffectiveModel((1.0, -3.0), 0.0, active={1})
-
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(ArgumentError):
             EffectiveModel((1.0, 1.0), bad)
         with pytest.raises(ArgumentError):
             EffectiveModel((1.0, bad), 0.01)
-        with pytest.raises(ArgumentError):
-            EffectiveModel((1.0, bad), 0.01, active={1})
 
 
 class TestBuildSingleExcitation:
@@ -70,13 +81,18 @@ class TestBuildSingleExcitation:
 
     def test_equals_dense_restriction_exactly(self, rng):
         for n in range(1, 7):
-            for active in (set(range(1, n + 1)), {1}, set(range(2, n + 1))):
-                lams = tuple(rng.uniform(0.5, 2.0, n))
-                model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams), active)
-                idx = self.single_excitation_indices(n)
-                dense = build_effective(model, n, 2).matrix[np.ix_(idx, idx)]
-                block = build_single_excitation(model, n)
-                assert np.array_equal(block.matrix, dense)
+            lams = tuple(rng.uniform(0.5, 2.0, n))
+            kappa = float(rng.uniform(0.0, 0.1)) * min(lams)
+            model = EffectiveModel(lams, kappa)
+            idx = self.single_excitation_indices(n)
+            dense = build_effective(model, n, 2).matrix[np.ix_(idx, idx)]
+            block = build_single_excitation(model, n)
+            assert np.array_equal(block.matrix, dense)
+            # coupled subsets, as the cluster steps use them: the terms summed
+            # over the subset are the hand-built Hamiltonian of that subset
+            for active in ({1}, set(range(2, n + 1))):
+                h = sum((lams[j - 1] * exchange_term(n, j) for j in active), decay_term(n, kappa))
+                assert np.array_equal(h, oracle_hamiltonian(lams, kappa, active))
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ArgumentError):
@@ -118,9 +134,15 @@ class TestBuildEffective:
         assert np.allclose(anti, -0.05j * number_operator(2, 2), atol=1e-15)
 
     def test_empty_active_set_is_pure_decay(self):
-        h = build_effective(EffectiveModel((1.0,), 0.2, active=set()), 1, 2).matrix
+        h = decay_term(1, 0.2, 2)
         assert np.count_nonzero(h) == 2
         assert h[1, 1] == pytest.approx(-0.1j)
+        assert np.array_equal(h, oracle_hamiltonian((1.0,), 0.2, set()))
+
+    def test_step_term_outside_the_register_rejected(self):
+        for j in (0, 3):
+            with pytest.raises(ArgumentError):
+                exchange_term(2, j)
 
     def test_small_cutoff_rejected(self):
         with pytest.raises(ArgumentError):
@@ -194,6 +216,18 @@ class TestUnitHelpers:
 
     def test_unit_quality(self):
         assert kappa_from_quality(2 * np.pi, 1.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("q, nu_c", [(math.nan, 4e10), (math.inf, 4e10),
+                                         (1e7, math.nan), (1e7, math.inf)])
+    def test_non_finite_quality_rejected(self, q, nu_c):
+        with pytest.raises(ArgumentError):
+            kappa_from_quality(q, nu_c)
+
+    @pytest.mark.parametrize("g, omega, delta", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                                 (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)])
+    def test_non_finite_coupling_inputs_rejected(self, g, omega, delta):
+        with pytest.raises(ArgumentError):
+            effective_coupling(g, omega, delta)
 
     @settings(max_examples=50, deadline=None)
     @given(

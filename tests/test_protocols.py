@@ -413,3 +413,24 @@ class TestNumericOracle:
             monkeypatch.setattr(analytic, name, forbidden)
         run_cluster(EffectiveModel((1.0, 1.4, 0.9), 0.05), 3, "numeric")
         run_w(EffectiveModel((1.0, 1.0, 1.3), 0.05), 3, "numeric")
+
+
+class TestCouplingFormat:
+    """Tuple and array couplings are one format once inside the model."""
+
+    @pytest.mark.parametrize("protocol", ["cluster", "wstate"])
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_execute_matches_the_tuple_built_model(self, rng, protocol, mode):
+        # bit-identical F, P and lambda1 through _execute and run_w; a tuple
+        # concatenation where an array is meant broadcast-adds instead
+        for n in (2, 3, 7):
+            lams = rng.uniform(0.5, 2.0, n if protocol == "cluster" else n - 1)
+            kappa = 0.05 * float(lams.min())
+            fid, p, _, report = cli._execute(protocol, n, lams, kappa, mode, "normalized")
+            as_tuple = tuple(lams.tolist())
+            if protocol == "wstate":
+                _, ref = run_w(EffectiveModel(as_tuple[:1] + as_tuple, kappa), n, mode)
+                assert report.details["solution"].lambda1 == ref.details["solution"].lambda1
+            else:
+                ref = run_cluster(EffectiveModel(as_tuple, kappa), n, mode)[1]
+            assert (fid, p) == (ref.fidelity, ref.success_probability)

@@ -190,7 +190,9 @@ class TestLabels:
     def test_roundtrip(self):
         s = make_basis_state([1, 0, 1], 1, 2)
         for idx in range(s.dim):
-            assert s.index_of(s.label_of(idx)) == idx
+            bits, photon = divmod(idx, 2)
+            label = BasisLabel(tuple(int(b) for b in format(bits, "03b")), photon)
+            assert s.index_of(label) == idx
 
     def test_invalid_bits(self):
         with pytest.raises(ArgumentError):
@@ -204,6 +206,28 @@ class TestDumpFormat:
         s = superpose([(0.5, k0), (0.5j, k1)])
         lines = state_dump_lines(s)
         assert lines == ["01 0 0.5 0", "10 1 0 0.5"]
+
+    def test_state_dump_matches_per_label_loop(self, rng):
+        def loop_lines(s):
+            lines = []
+            for idx in range(s.dim):
+                amp = s.amplitudes[idx]
+                if amp == 0:
+                    continue
+                bits, photon = divmod(idx, s.fock_cutoff)
+                label = "".join(str((bits >> (s.qubit_count - 1 - j)) & 1)
+                                for j in range(s.qubit_count))
+                lines.append(f"{label} {photon} {amp.real:.17g} {amp.imag:.17g}")
+            return lines
+
+        for n, cutoff in ((1, 1), (3, 2), (4, 3)):
+            amps = rng.normal(size=(1 << n) * cutoff) + 1j * rng.normal(size=(1 << n) * cutoff)
+            amps[::3] = 0.0
+            amps[1::5] = complex(-0.0, 0.5)   # signed zeros keep their sign
+            amps[2::7] = complex(0.25, -0.0)
+            s = StateVector(amps, n, cutoff)
+            assert state_dump_lines(s) == loop_lines(s)
+        assert any(" -0" in line for line in state_dump_lines(s))
 
     def test_seventeen_digit_amplitudes(self):
         s = StateVector(np.array([1 / 3, 0, 0, 0], complex), 1, 2)
