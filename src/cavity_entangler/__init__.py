@@ -49,7 +49,7 @@ from .protocols import (
     run_w,
     w_initial_state,
 )
-from .records import RunReport, Schedule
+from .records import RunReport
 from .statespace import (
     BasisLabel,
     SingleExcitation,
@@ -76,7 +76,6 @@ __all__ = [
     "RegimeError",
     "RegimeWarning",
     "RunReport",
-    "Schedule",
     "SectorError",
     "SingleExcitation",
     "StateVector",

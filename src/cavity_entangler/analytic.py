@@ -50,7 +50,7 @@ from .errors import (
     SectorError,
 )
 from .hamiltonian import EffectiveModel
-from .records import RunReport, Schedule
+from .records import RunReport
 from .statespace import MAX_DENSE_QUBITS, SingleExcitation, StateVector
 
 LOAD = "load"
@@ -68,7 +68,6 @@ class StepParams:
 
     lam: float
     kappa: float
-    exchange_rate: float      # G = sqrt(lam^2 - kappa^2/16)
     duration: float           # the chosen stay-root time
     swap_amp: float           # e^{-kappa t/4}(lam/G) sin(Gt) = e^{-kappa t/4} at the root
     double_amp: float         # e^{-kappa t/2}
@@ -103,7 +102,7 @@ def step_params(lam: float, kappa: float, role: str = LOAD) -> StepParams:
         t = math.atan(4.0 * g / kappa) / g
     e = math.exp(-kappa * t / 4.0)
     swap = e * (lam / g) * math.sin(g * t)
-    return StepParams(lam, kappa, g, t, swap, math.exp(-kappa * t / 2.0))
+    return StepParams(lam, kappa, t, swap, math.exp(-kappa * t / 2.0))
 
 
 def _branch_coefficients(lam: float, kappa: float, duration: float):
@@ -159,14 +158,16 @@ def _check_cluster_size(model: EffectiveModel, n: int) -> None:
         raise ArgumentError(f"model has {model.qubit_count} couplings, n = {n}")
 
 
-def cluster_schedule(model: EffectiveModel, n: int) -> Schedule:
-    """One-qubit-at-a-time schedule: load roots for 1..N-1, drain root for N."""
+def cluster_schedule(model: EffectiveModel, n: int) -> Tuple[StepParams, ...]:
+    """One-qubit-at-a-time schedule, qubit j's step at index j-1.
+
+    Load roots for qubits 1..N-1, the drain root for qubit N.
+    """
     _check_cluster_size(model, n)
-    steps = []
-    for j, lam in enumerate(model.lambdas.tolist(), start=1):
-        p = step_params(lam, model.kappa, LOAD if j < n else DRAIN)
-        steps.append((j, p.lam, p.duration))
-    return Schedule(tuple(steps))
+    return tuple(
+        step_params(lam, model.kappa, LOAD if j < n else DRAIN)
+        for j, lam in enumerate(model.lambdas.tolist(), start=1)
+    )
 
 
 def ideal_cluster(n: int) -> StateVector:
@@ -192,32 +193,36 @@ def _sz_on_last(vec: np.ndarray) -> np.ndarray:
 
 
 def _step_coefficients(model: EffectiveModel, n: int):
-    """Load coefficients (a, b, d) per distinct coupling and the drain step.
+    """Load coefficients (a, b, d) per distinct coupling, the runs, and the drain.
 
     At the load root: a = e^{-kappa t/4} (swap), b = a^2 (double survival),
     d = kappa*a/(2 lam) (residual stay of the cavity-excited branch, which the
     load root does not zero). The drain step runs to its own root, where the
     cavity-excited stay vanishes instead.
 
-    Returns ``(coeffs, inverse, drain)``: ``step_params`` runs once per
-    distinct load coupling, row i of the (U, 3) array ``coeffs`` holds its
-    (a, b, d), load step k (1-based) uses row ``inverse[k - 1]``, and
-    ``drain`` is the StepParams of qubit N.
+    Returns ``(coeffs, run_rows, lengths, drain)``. One comparison pass over
+    the N-1 load couplings splits them into runs of equal consecutive
+    couplings, and only the run heads are sorted to find the distinct ones:
+    ``step_params`` runs once per distinct coupling, row i of the (U, 3)
+    array ``coeffs`` holds its (a, b, d), run r uses row ``run_rows[r]`` for
+    ``lengths[r]`` steps, and ``drain`` is the drain's (swap amplitude a',
+    cavity-excited stay) at its root.
     """
     kappa = model.kappa
-    lams, inverse = np.unique(model.lambdas[: n - 1], return_inverse=True)
+    loads = model.lambdas[: n - 1]
+    heads = np.flatnonzero(np.concatenate(([True], loads[1:] != loads[:-1])))
+    lengths = np.diff(np.append(heads, loads.size))
+    # each run's row comes with the sort; a binary search of the unsorted heads
+    # in the distinct couplings costs 0.4 s at 10^6 distinct couplings
+    lams, run_rows = np.unique(loads[heads], return_inverse=True)
     coeffs = np.empty((lams.size, 3))
     for i, lam in enumerate(lams.tolist()):
         p = step_params(lam, kappa, LOAD)
         a = p.swap_amp
         coeffs[i] = a, p.double_amp, kappa * a / (2.0 * p.lam)
-    return coeffs, inverse, step_params(float(model.lambdas[n - 1]), kappa, DRAIN)
-
-
-def _drain_coefficients(drain: StepParams):
-    """(swap amplitude a', cavity-excited stay) of the drain step at its duration."""
-    _, stay_c, hop, _ = _branch_coefficients(drain.lam, drain.kappa, drain.duration)
-    return -hop.imag, stay_c       # hop = -i a'
+    drain = step_params(float(model.lambdas[n - 1]), kappa, DRAIN)
+    _, stay_c, hop, _ = _branch_coefficients(drain.lam, kappa, drain.duration)
+    return coeffs, run_rows, lengths, (-hop.imag, stay_c)   # hop = -i a'
 
 
 def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunReport]:
@@ -254,19 +259,20 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
             "(use cluster_fidelity_recursive for larger n)"
         )
     _check_cluster_size(model, n)
-    coeffs, inverse, drain = _step_coefficients(model, n)   # checks the regime
-    fid, p_success = _recursion(coeffs, inverse, drain)
+    coeffs, run_rows, lengths, drain = _step_coefficients(model, n)   # checks the regime
+    fid, p_success = _recursion(coeffs, run_rows, lengths, drain)
 
     x = np.array([1.0], dtype=float)
     y = np.array([1.0], dtype=float)
     per_step = []
-    for k, (a, b, d) in enumerate(coeffs[inverse].tolist(), start=1):
+    steps = np.repeat(coeffs[run_rows], lengths, axis=0)    # one (a, b, d) row per load step
+    for k, (a, b, d) in enumerate(steps.tolist(), start=1):
         szy = _sz_on_last(y) if k > 1 else y
         x, y = _interleave(x, a * szy), _interleave(a * x + d * szy, b * szy)
         per_step.append((k, (float(x @ x) + float(y @ y)) / 2 ** (k + 1)))
     per_step.append((n, p_success))
 
-    drain_amp, stay_c = _drain_coefficients(drain)
+    drain_amp, stay_c = drain
     scale = 2.0 ** (-n / 2.0)
     state = StateVector(_interleave(x, drain_amp * _sz_on_last(y)) * scale, n, 1)
     report = RunReport(
@@ -337,9 +343,9 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     return _recursion(*_step_coefficients(model, n))
 
 
-def _recursion(coeffs: np.ndarray, inverse: np.ndarray, drain: StepParams) -> Tuple[float, float]:
+def _recursion(coeffs, run_rows, lengths, drain) -> Tuple[float, float]:
     """``cluster_fidelity_recursive`` on the output of ``_step_coefficients``."""
-    drain_amp, stay_c = _drain_coefficients(drain)
+    drain_amp, stay_c = drain
     a, b, d = coeffs.T
     one, zero = np.ones_like(a), np.zeros_like(a)
     a_sq = a * a
@@ -347,9 +353,7 @@ def _recursion(coeffs: np.ndarray, inverse: np.ndarray, drain: StepParams) -> Tu
         [[one, a, zero], [a, b, d], [-a, b, -d]],                                  # (s, u, g~)
         [[one, a_sq, zero], [a_sq, b * b + d * d, 2.0 * a * d], [-a, a * b, -d]],  # (p, q, g)
     ]).transpose(3, 0, 1, 2)               # (distinct coupling, family, 3, 3)
-    starts = np.flatnonzero(np.concatenate(([True], inverse[1:] != inverse[:-1])))  # run heads
-    lengths = np.diff(np.append(starts, inverse.size))
-    powers, exps = _run_powers(maps[inverse[starts]], lengths)
+    powers, exps = _run_powers(maps[run_rows], lengths)
     (m_su, m_pq), (e_su, e_pq) = _chain_product(powers, exps)
     s, u = m_su[:2].sum(axis=1).tolist()     # the scalars all start at 1
     p, q = m_pq[:2].sum(axis=1).tolist()
@@ -431,8 +435,6 @@ class WSolution:
 
     lambda1: float
     duration: float
-    collective_rate: float    # B
-    total_coupling_sq: float  # A^2 = lambda1^2 + A'^2
     rest_coupling_sq: float   # A'^2
     iterations: int
     kappa: float
@@ -476,12 +478,9 @@ def w_solve_lambda1(lambda_rest: Sequence[float], kappa: float) -> WSolution:
             "lambda1 fixed point did not converge in 200 iterations",
             residual=abs(x_next - x) / x_next,
         )
-    b = b_of(x)
     return WSolution(
         lambda1=x,
-        duration=4.0 * math.pi / b,
-        collective_rate=b,
-        total_coupling_sq=x * x + ap_sq,
+        duration=4.0 * math.pi / b_of(x),
         rest_coupling_sq=ap_sq,
         iterations=iterations,
         kappa=kappa,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -84,7 +85,12 @@ _FREQ_UNITS = {
 
 
 def _to_float(number, value) -> float:
-    """float(number), with any failure reported against the config value."""
+    """float(number), with any failure reported against the config value.
+
+    JSON booleans are ints to Python; ``true`` is refused, not read as 1.0.
+    """
+    if isinstance(number, bool):
+        raise ArgumentError(f"expected a number, got {value!r}")
     try:
         return float(number)
     except (TypeError, ValueError, OverflowError):
@@ -370,8 +376,7 @@ def cmd_run(config: RunConfig, args) -> int:
         elif register is None:
             model = EffectiveModel(config.lambdas, config.kappa)
             register = analytic.cluster_analytic(model, config.n)[0]
-        with open(args.dump_state, "w", encoding="utf-8") as fh:
-            statespace.write_state_dump(register, fh)
+        _write_lines(args.dump_state, statespace.state_dump_lines(register))
         print(f"dump_state={args.dump_state}")
     if args.dump_h:
         _dump_hamiltonians(config, args.dump_h)
@@ -384,10 +389,10 @@ def _dump_hamiltonians(config: RunConfig, path: str) -> None:
     lines = []
     if config.protocol == "cluster":
         model = EffectiveModel(config.lambdas, config.kappa)
-        schedule = analytic.cluster_schedule(model, config.n)
-        for j, lam, duration in schedule.steps:
-            h = lam * exchange_term(config.n, j) + decay_term(config.n, config.kappa)
-            lines.append(f"# step {j} qubit {j} lambda {_fmt(lam)} duration {_fmt(duration)}")
+        for j, step in enumerate(analytic.cluster_schedule(model, config.n), start=1):
+            h = step.lam * exchange_term(config.n, j) + decay_term(config.n, config.kappa)
+            lines.append(f"# step {j} qubit {j} lambda {_fmt(step.lam)} "
+                         f"duration {_fmt(step.duration)}")
             lines.extend(statespace.matrix_dump_lines(h))
     else:
         rest = config.lambdas
@@ -396,8 +401,16 @@ def _dump_hamiltonians(config: RunConfig, path: str) -> None:
         h = build_effective(model, config.n, 2)
         lines.append(f"# simultaneous coupling duration {_fmt(sol.duration)}")
         lines.extend(statespace.matrix_dump_lines(h.matrix))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write each line with a trailing newline; an unwritable path is an ArgumentError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +441,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
         raise ArgumentError(f"--jobs must be >= 1, got {args.jobs}")
     if config.sweep is None:
         raise ArgumentError("config has no 'sweep' section")
+    out_path = args.output or config.output
+    if not out_path:
+        raise ArgumentError("no output path (config 'output' or --output)")
     grid = config.sweep["kappa_over_lambda"]
     ratios = np.linspace(grid["start"], grid["stop"], grid["steps"])
     n_list = config.sweep["N_list"]
@@ -444,17 +460,10 @@ def cmd_sweep(config: RunConfig, args) -> int:
     else:
         rows = [_sweep_point(t) for t in tasks]
     rows.sort(key=lambda r: (r[0], r[1]))
-
-    out_path = args.output or config.output
-    if not out_path:
-        raise ArgumentError("no output path (config 'output' or --output)")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for n, ratio, fid, p, runtime, status in rows:
-            fh.write(
-                f"{config.protocol},{n},{_fmt(ratio)},{_fmt(fid)},{_fmt(p)},"
-                f"{runtime:.3e},{status}\n"
-            )
+    _write_lines(out_path, itertools.chain([CSV_HEADER], (
+        f"{config.protocol},{n},{_fmt(ratio)},{_fmt(fid)},{_fmt(p)},{runtime:.3e},{status}"
+        for n, ratio, fid, p, runtime, status in rows
+    )))
     failures = sum(1 for row in rows if row[5] != "ok")
     print(f"output={out_path}")
     print(f"rows={len(rows)}")
@@ -485,8 +494,7 @@ def _write_gnuplot_script(path: str, csv_path: str, n_list, protocol: str) -> No
             f'"{csv_path}" using 3:{sel % 5} with linespoints title "P, N={int(n)}"'
         )
     lines.append("plot " + ", \\\n     ".join(plots))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------

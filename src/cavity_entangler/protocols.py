@@ -92,7 +92,7 @@ def run_cluster(
     if mode == ANALYTIC:
         return analytic.cluster_analytic(model, n)
 
-    schedule = analytic.cluster_schedule(model, n)
+    steps = analytic.cluster_schedule(model, n)
     opts = opts or numeric.PropagatorOptions()
     psi = cluster_initial_state(n)
     cutoff = psi.fock_cutoff
@@ -102,11 +102,11 @@ def run_cluster(
     decay = decay_term(1, model.kappa, cutoff)
     identity = np.eye(exchange.shape[0])
     per_step = []
-    for idx, (j, lam, duration) in enumerate(schedule.steps, start=1):
-        u = numeric.evolve_vector(lam * exchange + decay, identity, duration, opts)
+    for j, step in enumerate(steps, start=1):
+        u = numeric.evolve_vector(step.lam * exchange + decay, identity, step.duration, opts)
         # (qubit', photon', qubit, photon) contracted with the (j, cavity) axes
         grid = np.tensordot(u.reshape(2, cutoff, 2, cutoff), grid, axes=([2, 3], [j - 1, n]))
-        per_step.append((idx, float(np.vdot(grid, grid).real)))
+        per_step.append((j, float(np.vdot(grid, grid).real)))
         grid = np.moveaxis(grid, (0, 1), (j - 1, n))
 
     psi = StateVector(grid.reshape(-1), n, cutoff)

@@ -1,24 +1,7 @@
-"""Shared protocol records: schedules and run reports."""
+"""Shared protocol records: run reports."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from .errors import ArgumentError
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered coupling steps (qubit index, coupling rad/s, duration s)."""
-
-    steps: tuple
-
-    def __post_init__(self):
-        steps = tuple((int(j), float(lam), float(t)) for j, lam, t in self.steps)
-        object.__setattr__(self, "steps", steps)
-        if any(t <= 0 for _, _, t in steps):
-            raise ArgumentError("all step durations must be > 0")
-        qubits = [j for j, _, _ in steps]
-        if qubits != list(range(1, len(qubits) + 1)):
-            raise ArgumentError(f"steps must visit qubits 1..N in order, got {qubits}")
 
 
 @dataclass(frozen=True)

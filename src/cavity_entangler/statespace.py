@@ -17,7 +17,7 @@ O(m) in memory and in every metric, with ``to_dense()`` for the dense form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -220,11 +220,6 @@ def state_dump_lines(s: StateVector) -> list:
         bits, photon = divmod(idx, s.fock_cutoff)
         lines.append(f"{format(bits, width)} {photon} {real:.17g} {imag:.17g}")
     return lines
-
-
-def write_state_dump(s: StateVector, fh: TextIO) -> None:
-    for line in state_dump_lines(s):
-        fh.write(line + "\n")
 
 
 def matrix_dump_lines(matrix: np.ndarray) -> list:

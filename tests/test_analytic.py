@@ -38,7 +38,6 @@ from conftest import (
 class TestStepParams:
     def test_no_decay_limit(self):
         p = step_params(1.0, 0.0)
-        assert p.exchange_rate == 1.0
         assert p.duration == pytest.approx(math.pi / 2)
         assert p.swap_amp == 1.0
         assert p.double_amp == 1.0
@@ -47,7 +46,6 @@ class TestStepParams:
         # frozen from the 2x2 eigendecomposition: G = sqrt(1 - 0.01/16),
         # t = [pi - atan(4G/kappa)]/G, swap = exp(-kappa t/4) exactly at the root
         p = step_params(1.0, 0.1)
-        assert p.exchange_rate == pytest.approx(0.9996874511566103, rel=1e-14)
         assert p.duration == pytest.approx(1.5962978527418374, rel=1e-14)
         assert p.swap_amp == pytest.approx(0.9608783678672953, rel=1e-13)
         assert p.swap_amp == pytest.approx(math.exp(-0.1 * p.duration / 4), rel=1e-13)
@@ -127,29 +125,40 @@ class TestSingleStepMap:
             single_step_map(psi, 1, p, 0.1)
 
 
+def schedule_triples(model, n):
+    """(qubit, coupling, duration) of each step of ``cluster_schedule``."""
+    return tuple((j, p.lam, p.duration) for j, p in enumerate(cluster_schedule(model, n), 1))
+
+
 class TestClusterSchedule:
     def test_equal_couplings_no_decay(self):
-        sched = cluster_schedule(EffectiveModel((1.0, 1.0), 0.0), 2)
-        assert sched.steps == ((1, 1.0, math.pi / 2), (2, 1.0, math.pi / 2))
+        sched = schedule_triples(EffectiveModel((1.0, 1.0), 0.0), 2)
+        assert sched == ((1, 1.0, math.pi / 2), (2, 1.0, math.pi / 2))
 
     def test_durations_scale_inversely_with_coupling(self):
-        sched = cluster_schedule(EffectiveModel((1.0, 2.0, 1.0), 0.0), 3)
-        durations = [t for _, _, t in sched.steps]
+        sched = schedule_triples(EffectiveModel((1.0, 2.0, 1.0), 0.0), 3)
+        durations = [t for _, _, t in sched]
         assert durations == pytest.approx([math.pi / 2, math.pi / 4, math.pi / 2])
 
     def test_each_step_satisfies_its_transfer_condition(self):
         model = EffectiveModel((1.0,) * 4, 0.05)
-        sched = cluster_schedule(model, 4)
-        for j, lam, duration in sched.steps:
+        sched = schedule_triples(model, 4)
+        for j, lam, duration in sched:
             stay_q, stay_c, _, _ = _branch_coefficients(lam, 0.05, duration)
             if j < 4:
                 assert abs(stay_q) < 1e-12     # loading steps park the qubit branch
             else:
                 assert abs(stay_c) < 1e-12     # the last step drains the photon
         # loading steps share one duration; the drain root is shorter
-        durations = [t for _, _, t in sched.steps]
+        durations = [t for _, _, t in sched]
         assert durations[0] == durations[1] == durations[2]
         assert durations[3] < durations[0]
+
+    def test_steps_are_the_load_and_drain_step_params(self):
+        lams, kappa = (1.0, 2.0, 0.5, 1.5), 0.05
+        steps = cluster_schedule(EffectiveModel(lams, kappa), 4)
+        assert steps == tuple(step_params(lam, kappa, LOAD) for lam in lams[:3]) + (
+            step_params(lams[3], kappa, DRAIN),)
 
 
 class TestIdealCluster:
@@ -343,6 +352,27 @@ class TestClusterFidelityRecursive:
         n = 20000
         cluster_fidelity_recursive(EffectiveModel((1.0,) * n, 0.05), n)
         assert sorted(calls) == [DRAIN, LOAD]
+        calls.clear()
+        cluster_fidelity_recursive(EffectiveModel((1.0, 2.0) * (n // 2), 0.05), n)
+        assert sorted(calls) == [DRAIN, LOAD, LOAD]
+
+    def test_only_the_run_heads_are_sorted(self, rng, monkeypatch):
+        sizes = []
+        real = np.unique
+
+        def recording(values, *args, **kwargs):
+            sizes.append(np.size(values))
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", recording)
+        n = 5000
+        lams = run_structured(rng, n)
+        runs = 1 + sum(a != b for a, b in zip(lams[: n - 2], lams[1 : n - 1]))
+        assert runs < n // 10
+        for model_lams, heads in (((1.0,) * n, 1), (lams, runs)):
+            sizes.clear()
+            cluster_fidelity_recursive(EffectiveModel(model_lams, 0.05), n)
+            assert sizes and max(sizes) <= heads
 
     def test_cluster_analytic_runs_the_step_coefficients_once(self, monkeypatch):
         # N from one _step_coefficients pass, and no schedule
@@ -369,16 +399,20 @@ class TestClusterFidelityRecursive:
         batched = [cluster_analytic(model, n) for model, n in models]
 
         def per_step(model, n):
-            # one row per step; equal couplings share an index (the first step
-            # with that coupling) so the recursion sees the same runs
-            rows, first = [], {}
-            for k, lam in enumerate(model.lambdas[: n - 1]):
+            # one row per step; each run of equal consecutive couplings uses the
+            # row of its first step, so the recursion sees the same runs
+            rows, run_rows, lengths = [], [], []
+            for k, lam in enumerate(model.lambdas[: n - 1].tolist()):
                 p = step_params(lam, model.kappa, LOAD)
                 rows.append((p.swap_amp, p.double_amp, model.kappa * p.swap_amp / (2.0 * lam)))
-                first.setdefault(lam, k)
-            inverse = np.array([first[lam] for lam in model.lambdas[: n - 1]])
-            drain = step_params(model.lambdas[n - 1], model.kappa, DRAIN)
-            return np.array(rows), inverse, drain
+                if k and lam == model.lambdas[k - 1]:
+                    lengths[-1] += 1
+                else:
+                    run_rows.append(k)
+                    lengths.append(1)
+            drain = step_params(float(model.lambdas[n - 1]), model.kappa, DRAIN)
+            _, stay_c, hop, _ = _branch_coefficients(drain.lam, model.kappa, drain.duration)
+            return np.array(rows), np.array(run_rows), np.array(lengths), (-hop.imag, stay_c)
 
         monkeypatch.setattr(analytic, "_step_coefficients", per_step)
         for (model, n), (state, report) in zip(models, batched):

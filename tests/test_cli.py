@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,67 @@ class TestConfigBoundary:
         path.write_bytes(content)
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read config")
+
+
+# each case overrides fields of this config; None drops the field
+_BOOL_CLUSTER = {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0}
+_BOOL_FIELDS = {
+    "lambdas": {"lambdas": True},
+    "lambdas-entry": {"lambdas": [1.0, True, 1.0]},
+    "triple-g": {"lambdas": {"g": True, "omega": 8.5e7, "delta": 1.5e9}},
+    "triple-omega": {"lambdas": {"g": 1.8e8, "omega": True, "delta": 1.5e9}},
+    "triple-delta": {"lambdas": {"g": 1.8e8, "omega": 8.5e7, "delta": True}},
+    "kappa-false": {"kappa": False},
+    "kappa-true": {"kappa": True},
+    "Q": {"kappa": None, "Q": True, "nu_c": 4e10},
+    "nu_c": {"kappa": None, "Q": 1e7, "nu_c": True},
+    "wstate-lambdas-entry": {"protocol": "wstate", "lambdas": [1.0, True]},
+    "wstate-Q": {"protocol": "wstate", "kappa": None, "Q": True, "nu_c": 4e10},
+    "sweep-start": {"sweep": {"kappa_over_lambda": {"start": False, "stop": 0.1, "steps": 2}}},
+    "sweep-stop": {"sweep": {"kappa_over_lambda": {"start": 0.0, "stop": True, "steps": 2}}},
+    "three_level-g": {"three_level": {"g": True}},
+    "three_level-omega": {"three_level": {"omega": True}},
+    "three_level-delta": {"three_level": {"delta": True}},
+    "feasibility-g": {"feasibility": {"g": True}},
+    "feasibility-omega": {"feasibility": {"omega": True}},
+    "feasibility-delta": {"feasibility": {"delta": True}},
+    "feasibility-Q": {"feasibility": {"Q": True}},
+    "feasibility-nu_c": {"feasibility": {"nu_c": True}},
+}
+
+
+class TestBooleanValues:
+    """JSON true/false is not a number in any numeric field."""
+
+    @pytest.mark.parametrize("fields", list(_BOOL_FIELDS.values()), ids=list(_BOOL_FIELDS))
+    def test_boolean_number_exits_1(self, tmp_path, capsys, fields):
+        doc = {k: v for k, v in {**_BOOL_CLUSTER, **fields}.items() if v is not None}
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out.csv"
+        command = ["sweep", "--output", str(out)] if "sweep" in doc else ["run"]
+        code = main(command[:1] + ["--config", cfg] + command[1:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--output", "{bad}"]),
+    ("sweep", ["--output", "{csv}", "--gnuplot", "{bad}"]),
+    ("run", ["--dump-state", "{bad}"]),
+    ("run", ["--dump-h", "{bad}"]),
+], ids=["output", "gnuplot", "dump-state", "dump-h"])
+def test_unwritable_output_exits_1(tmp_path, capsys, command, flags):
+    bad = tmp_path / "missing" / "x"
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                                  "sweep": {"kappa_over_lambda": _GRID}})
+    argv = [command, "--config", cfg] + [f.format(bad=bad, csv=tmp_path / "c.csv") for f in flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestUsage:
@@ -415,6 +477,30 @@ class TestRunCommand:
         assert all(0.1 < float(v) <= 1.0 for v in row[3:5])     # .12f and .12g agree here
         assert [f"{float(values[key]):.12g}" for key in ("F", "P")] == row[3:5]
 
+    def test_dump_hamiltonian_blocks_are_the_step_generators(self, tmp_path, capsys):
+        from cavity_entangler.analytic import DRAIN, LOAD, step_params
+        from cavity_entangler.hamiltonian import decay_term, exchange_term
+
+        lams, kappa, n = (1.0, 1.3, 0.8), 0.05, 3
+        cfg = write_config(tmp_path, {"protocol": "cluster", "N": n, "lambdas": list(lams),
+                                      "kappa": kappa})
+        dump = tmp_path / "h.txt"
+        assert main(["run", "--config", cfg, "--dump-h", str(dump)]) == 0
+        blocks = []
+        for line in dump.read_text().splitlines():
+            if line.startswith("#"):
+                blocks.append((line, np.zeros((2 ** (n + 1),) * 2, dtype=complex)))
+            else:
+                row, col, re_part, im_part = line.split()
+                blocks[-1][1][int(row), int(col)] = complex(float(re_part), float(im_part))
+        assert len(blocks) == n
+        for j, (header, h) in enumerate(blocks, start=1):
+            step = step_params(lams[j - 1], kappa, LOAD if j < n else DRAIN)
+            fmt = cli_module._fmt
+            assert header == (f"# step {j} qubit {j} lambda {fmt(lams[j - 1])} "
+                              f"duration {fmt(step.duration)}")
+            assert np.array_equal(h, lams[j - 1] * exchange_term(n, j) + decay_term(n, kappa))
+
     def test_dump_hamiltonian(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.1}
@@ -526,6 +612,17 @@ class TestSweepCommand:
             t = w_solve_lambda1((1.0e7,) * (n - 1), ratio * 1.0e7).duration
             assert f == pytest.approx(1.0, abs=1e-12)
             assert p == pytest.approx(math.exp(-ratio * 1.0e7 * t / 4), rel=1e-12)
+
+    def test_missing_output_path_refused_before_any_row(self, tmp_path, capsys, monkeypatch):
+        def no_rows(task):
+            raise AssertionError("a sweep row ran before the output path check")
+
+        monkeypatch.setattr(cli_module, "_sweep_point", no_rows)
+        cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0,
+                                      "kappa": 0.0, "sweep": {"kappa_over_lambda": _GRID}})
+        assert main(["sweep", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: no output path (config 'output' or --output)\n")
 
     def test_deterministic_output_modulo_runtime(self, tmp_path, capsys):
         doc = {

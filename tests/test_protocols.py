@@ -44,10 +44,10 @@ def fold_cluster(model, n):
     """
     psi = cluster_initial_state(n)
     per_step = []
-    for idx, (j, lam, duration) in enumerate(cluster_schedule(model, n).steps, start=1):
+    for j, step in enumerate(cluster_schedule(model, n), start=1):
         role = analytic.LOAD if j < n else analytic.DRAIN
-        psi = single_step_map(psi, j, step_params(lam, model.kappa, role), duration)
-        per_step.append((idx, psi.norm_sq()))
+        psi = single_step_map(psi, j, step_params(step.lam, model.kappa, role), step.duration)
+        per_step.append((j, psi.norm_sq()))
     return factor_out_cavity(psi, photon=0, tol=CAVITY_TOL["analytic"]), per_step
 
 
@@ -376,9 +376,9 @@ class TestNumericOracle:
             psi = cluster_initial_state(n)
             grid = psi._grid()
             norms = []
-            for j, lam, duration in cluster_schedule(model, n).steps:
-                h = build_effective(EffectiveModel((lam,), model.kappa), 1, 2)
-                u = numeric.evolve_vector(h.matrix, np.eye(h.dim), duration,
+            for j, step in enumerate(cluster_schedule(model, n), start=1):
+                h = build_effective(EffectiveModel((step.lam,), model.kappa), 1, 2)
+                u = numeric.evolve_vector(h.matrix, np.eye(h.dim), step.duration,
                                           opts or PropagatorOptions())
                 grid = np.tensordot(u.reshape(2, 2, 2, 2), grid, axes=([2, 3], [j - 1, n]))
                 norms.append(float(np.vdot(grid, grid).real))
