@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def _sz_on_last(vec: np.ndarray) -> np.ndarray:
     return w.reshape(-1)
 
 
-def _step_coefficients(model: EffectiveModel, n: int):
+def _step_coefficients(model: EffectiveModel, n: int, kappas=None):
     """Load coefficients (a, b, d) per distinct coupling, the runs, and the drain.
 
     At the load root: a = e^{-kappa t/4} (swap), b = a^2 (double survival),
@@ -207,22 +207,31 @@ def _step_coefficients(model: EffectiveModel, n: int):
     array ``coeffs`` holds its (a, b, d), run r uses row ``run_rows[r]`` for
     ``lengths[r]`` steps, and ``drain`` is the drain's (swap amplitude a',
     cavity-excited stay) at its root.
+
+    A sequence ``kappas`` of K decay rates takes the place of ``model.kappa``:
+    the runs are found once, ``coeffs`` is (U, K, 3) and ``drain`` is a list
+    of K pairs.
     """
-    kappa = model.kappa
+    rates = [model.kappa] if kappas is None else [float(kappa) for kappa in kappas]
     loads = model.lambdas[: n - 1]
     heads = np.flatnonzero(np.concatenate(([True], loads[1:] != loads[:-1])))
     lengths = np.diff(np.append(heads, loads.size))
     # each run's row comes with the sort; a binary search of the unsorted heads
     # in the distinct couplings costs 0.4 s at 10^6 distinct couplings
     lams, run_rows = np.unique(loads[heads], return_inverse=True)
-    coeffs = np.empty((lams.size, 3))
-    for i, lam in enumerate(lams.tolist()):
-        p = step_params(lam, kappa, LOAD)
-        a = p.swap_amp
-        coeffs[i] = a, p.double_amp, kappa * a / (2.0 * p.lam)
-    drain = step_params(float(model.lambdas[n - 1]), kappa, DRAIN)
-    _, stay_c, hop, _ = _branch_coefficients(drain.lam, kappa, drain.duration)
-    return coeffs, run_rows, lengths, (-hop.imag, stay_c)   # hop = -i a'
+    coeffs = np.empty((lams.size, len(rates), 3))
+    lams, lam_drain, drain = lams.tolist(), float(model.lambdas[n - 1]), []
+    for k, kappa in enumerate(rates):
+        for i, lam in enumerate(lams):
+            p = step_params(lam, kappa, LOAD)
+            a = p.swap_amp
+            coeffs[i, k] = a, p.double_amp, kappa * a / (2.0 * p.lam)
+        p = step_params(lam_drain, kappa, DRAIN)
+        _, stay_c, hop, _ = _branch_coefficients(p.lam, kappa, p.duration)
+        drain.append((-hop.imag, stay_c))    # hop = -i a'
+    if kappas is None:
+        return coeffs[:, 0], run_rows, lengths, drain[0]
+    return coeffs, run_rows, lengths, drain
 
 
 def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunReport]:
@@ -260,7 +269,7 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
         )
     _check_cluster_size(model, n)
     coeffs, run_rows, lengths, drain = _step_coefficients(model, n)   # checks the regime
-    fid, p_success = _recursion(coeffs, run_rows, lengths, drain)
+    fid, p_success = _only(_recursion(coeffs, run_rows, lengths, drain))
 
     x = np.array([1.0], dtype=float)
     y = np.array([1.0], dtype=float)
@@ -340,36 +349,70 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     of the recursion to ~1e-12 at N = 20000.
     """
     _check_cluster_size(model, n)
-    return _recursion(*_step_coefficients(model, n))
+    return _only(_recursion(*_step_coefficients(model, n)))
 
 
-def _recursion(coeffs, run_rows, lengths, drain) -> Tuple[float, float]:
-    """``cluster_fidelity_recursive`` on the output of ``_step_coefficients``."""
-    drain_amp, stay_c = drain
-    a, b, d = coeffs.T
+def cluster_fidelity_sweep(model: EffectiveModel, n: int, kappas) -> list:
+    """``cluster_fidelity_recursive`` at each decay rate of ``kappas`` in one batch.
+
+    ``model`` gives the couplings; its own ``kappa`` is not read. The runs
+    of equal couplings are found once, and the map pairs of every decay rate
+    are raised and multiplied together, stacked beside the run axis, so the
+    result at each rate is bit-identical to ``cluster_fidelity_recursive``
+    with that rate. Returns, per decay rate, ``(F, P)`` or the
+    FactorizationError of that rate's cavity check, so one mistimed drain
+    does not spoil the other rates. No decay rates give an empty list.
+    """
+    _check_cluster_size(model, n)
+    return _recursion(*_step_coefficients(model, n, kappas))
+
+
+def _only(outcomes: list) -> Tuple[float, float]:
+    """The (F, P) of a batch of one decay rate, raising its FactorizationError."""
+    (outcome,) = outcomes
+    if isinstance(outcome, FactorizationError):
+        raise outcome
+    return outcome
+
+
+def _recursion(coeffs, run_rows, lengths, drain) -> list:
+    """``cluster_fidelity_sweep`` on the output of ``_step_coefficients``.
+
+    ``coeffs`` is (U, 3) with one drain pair, or (U, K, 3) with K drain
+    pairs; the outcomes are listed per decay rate either way.
+    """
+    a, b, d = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
     one, zero = np.ones_like(a), np.zeros_like(a)
     a_sq = a * a
     maps = 0.5 * np.array([
         [[one, a, zero], [a, b, d], [-a, b, -d]],                                  # (s, u, g~)
         [[one, a_sq, zero], [a_sq, b * b + d * d, 2.0 * a * d], [-a, a * b, -d]],  # (p, q, g)
-    ]).transpose(3, 0, 1, 2)               # (distinct coupling, family, 3, 3)
+    ])                                     # (family, 3, 3, distinct coupling[, decay rate])
+    # (distinct coupling, decay rate x family, 3, 3): rate k's families at 2k and 2k+1
+    maps = maps.transpose(*range(3, maps.ndim), 0, 1, 2).reshape(len(coeffs), -1, 3, 3)
     powers, exps = _run_powers(maps[run_rows], lengths)
-    (m_su, m_pq), (e_su, e_pq) = _chain_product(powers, exps)
-    s, u = m_su[:2].sum(axis=1).tolist()     # the scalars all start at 1
-    p, q = m_pq[:2].sum(axis=1).tolist()
-    num = s + drain_amp * u
-    den = p + drain_amp * drain_amp * q
-    residual = abs(stay_c) * math.sqrt(q / den)   # p and q share the exponent e_pq
-    if residual > CAVITY_TOL:
-        raise FactorizationError(
-            f"photon left in the cavity after the drain step: residual {residual:.3e} "
-            f"of the output norm exceeds tol {CAVITY_TOL:.1e}",
-            residual,
-        )
-    return (
-        math.ldexp(0.5 * num * num / den, 2 * int(e_su) - int(e_pq)),
-        math.ldexp(0.5 * den, int(e_pq)),
-    )
+    mantissas, exps = _chain_product(powers, exps)
+    sums = mantissas[:, :2].sum(axis=2).tolist()     # the scalars all start at 1
+    exps = exps.tolist()
+    outcomes = []
+    for k, (drain_amp, stay_c) in enumerate([drain] if coeffs.ndim == 2 else drain):
+        (s, u), (p, q) = sums[2 * k], sums[2 * k + 1]
+        e_su, e_pq = exps[2 * k], exps[2 * k + 1]
+        num = s + drain_amp * u
+        den = p + drain_amp * drain_amp * q
+        residual = abs(stay_c) * math.sqrt(q / den)   # p and q share the exponent e_pq
+        if residual > CAVITY_TOL:
+            outcomes.append(FactorizationError(
+                f"photon left in the cavity after the drain step: residual {residual:.3e} "
+                f"of the output norm exceeds tol {CAVITY_TOL:.1e}",
+                residual,
+            ))
+        else:
+            outcomes.append((
+                math.ldexp(0.5 * num * num / den, 2 * e_su - e_pq),
+                math.ldexp(0.5 * den, e_pq),
+            ))
+    return outcomes
 
 
 def _rescaled(maps: np.ndarray):
@@ -487,19 +530,25 @@ def w_solve_lambda1(lambda_rest: Sequence[float], kappa: float) -> WSolution:
     )
 
 
-def w_amplitudes(model: EffectiveModel, t: float) -> np.ndarray:
+def w_amplitudes(
+    model: EffectiveModel, t: float, rest_coupling_sq: Optional[float] = None
+) -> np.ndarray:
     """Single-excitation amplitudes at time t for the simultaneous coupling.
 
     Starting from qubit 1 excited, all others and the cavity empty, the
     dynamics closes in the (N+1)-dimensional single-excitation sector: only
     the coupling-weighted "bright" combination exchanges with the cavity at
     collective rate B/4, everything orthogonal to it is frozen. Returns the
-    N qubit amplitudes followed by the cavity amplitude.
+    N qubit amplitudes followed by the cavity amplitude. ``rest_coupling_sq``
+    is A'^2 when the caller holds it (``WSolution.rest_coupling_sq``);
+    otherwise it is summed from ``model.lambdas[1:]``.
     """
     lams = model.lambdas
     kappa = model.kappa
     lam1 = float(lams[0])
-    a_sq = lam1 * lam1 + _sum_sq(lams[1:])   # as w_solve_lambda1 forms A^2
+    if rest_coupling_sq is None:
+        rest_coupling_sq = _sum_sq(lams[1:])
+    a_sq = lam1 * lam1 + rest_coupling_sq   # as w_solve_lambda1 forms A^2
     b_sq = 16.0 * a_sq - kappa * kappa
     if b_sq <= 0:
         raise RegimeError("16 A^2 <= kappa^2: collective exchange is overdamped")
@@ -514,14 +563,19 @@ def w_amplitudes(model: EffectiveModel, t: float) -> np.ndarray:
     return out
 
 
-def w_target(lambda_rest: Sequence[float], kappa: float, t: float) -> SingleExcitation:
+def w_target(
+    lambda_rest: Sequence[float], kappa: float, t: float, rest_coupling_sq: Optional[float] = None
+) -> SingleExcitation:
     """Unnormalized W target over qubits 2..N: e^{-kappa t/8} sum_k (lam_k/A')|1_k>.
 
     Equal couplings give the uniform W state; the squared norm is exactly
-    exp(-kappa t / 4), the success probability.
+    exp(-kappa t / 4), the success probability. ``rest_coupling_sq`` is A'^2
+    when the caller holds it; otherwise it is summed from ``lambda_rest``.
     """
     rest = _rest_couplings(lambda_rest)
-    return SingleExcitation(math.exp(-kappa * t / 8.0) * rest / math.sqrt(_sum_sq(rest)))
+    if rest_coupling_sq is None:
+        rest_coupling_sq = _sum_sq(rest)
+    return SingleExcitation(math.exp(-kappa * t / 8.0) * rest / math.sqrt(rest_coupling_sq))
 
 
 def _rest_couplings(lambda_rest: Sequence[float]) -> np.ndarray:
@@ -535,9 +589,10 @@ def _rest_couplings(lambda_rest: Sequence[float]) -> np.ndarray:
 def _sum_sq(lams: np.ndarray) -> float:
     """Correctly rounded sum of squares.
 
-    The W solver, the amplitudes and the target all take A'^2 from here, and
-    the solver and the amplitudes both form A^2 as lambda1^2 + A'^2, so the
-    collective rates they derive are equal. A plain left-to-right sum drifts
+    The W solver, the amplitudes and the target all take A'^2 from here (a
+    W run sums it once, in the solver, and hands it on), and the solver and
+    the amplitudes both form A^2 as lambda1^2 + A'^2, so the collective
+    rates they derive are equal. A plain left-to-right sum drifts
     ~N eps from the true A'^2 (~1e-11 relative at 10^5 qubits), and the
     register's norm, which numpy sums pairwise, then misses the success
     probability exp(-kappa t / 4) by more than 1e-12.

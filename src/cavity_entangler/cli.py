@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -314,32 +315,64 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _execute(protocol: str, n: int, lams: np.ndarray, kappa: float, mode: str, convention: str):
+    """``run``'s executor: ``_execute_batch`` at the one decay rate ``kappa``.
+
+    Returns ``(F, P, register, report)`` or raises the rate's error.
+    """
+    (outcome,) = _execute_batch(protocol, n, lams, [kappa], mode, convention)
+    if isinstance(outcome, CavityEntanglerError):
+        raise outcome
+    return outcome
+
+
+def _execute_batch(protocol: str, n: int, lams: np.ndarray, kappas, mode: str,
+                   convention: str) -> list:
     """The one path from parsed couplings to F and P, for ``run`` and every sweep row.
 
-    Refuses an out-of-regime point, builds the model, runs it, applies the
-    fidelity convention and refuses a non-finite result. ``lams`` are the
-    cluster's N couplings or the W run's rest couplings 2..N. Returns
-    ``(F, P, register, report)``; an analytic cluster runs the O(N) recursion
-    alone, so its register and report are None.
+    ``lams`` are the cluster's N couplings or the W run's rest couplings
+    2..N, and ``kappas`` the decay rates to run them at: one for ``run``, a
+    batch of ratios of one N for a sweep. Per decay rate it refuses an
+    out-of-regime point, runs the model, applies the fidelity convention and
+    refuses a non-finite result, and returns ``(F, P, register, report)`` or
+    the package error that stopped that rate. The analytic cluster rates run
+    as one batch of the O(N) recursion, which builds no register or report,
+    so those are None.
     """
     lam_min = float(lams.min())
-    if out_of_regime(kappa, lam_min):
-        raise RegimeError(f"kappa/lambda = {kappa / lam_min:.6g} is outside the validated regime")
-    register = report = None
-    if protocol == "wstate":
-        # run_w solves the first coupling; lams[0] only seeds the model
-        register, report = protocols.run_w(
-            EffectiveModel(np.concatenate((lams[:1], lams)), kappa), n, mode)
-    elif mode == protocols.ANALYTIC:
-        fid, p = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
+    outcomes = [
+        RegimeError(f"kappa/lambda = {kappa / lam_min:.6g} is outside the validated regime")
+        if out_of_regime(kappa, lam_min) else None
+        for kappa in kappas
+    ]
+    todo = [k for k, outcome in enumerate(outcomes) if outcome is None]
+    if protocol == "cluster" and mode == protocols.ANALYTIC:
+        results = analytic.cluster_fidelity_sweep(
+            EffectiveModel(lams, 0.0), n, [kappas[k] for k in todo])
+        for k, result in zip(todo, results):
+            outcomes[k] = result if isinstance(result, CavityEntanglerError) else (*result, None, None)
     else:
-        register, report = protocols.run_cluster(EffectiveModel(lams, kappa), n, mode)
-    if report is not None:
-        fid, p = report.fidelity, report.success_probability
+        # run_w solves the first coupling; lams[0] only seeds the model
+        model_lams = np.concatenate((lams[:1], lams)) if protocol == "wstate" else lams
+        run = protocols.run_w if protocol == "wstate" else protocols.run_cluster
+        for k in todo:
+            try:
+                register, report = run(EffectiveModel(model_lams, kappas[k]), n, mode)
+            except CavityEntanglerError as exc:
+                outcomes[k] = exc
+            else:
+                outcomes[k] = (report.fidelity, report.success_probability, register, report)
+    return [_finish(outcome, convention) for outcome in outcomes]
+
+
+def _finish(outcome, convention: str):
+    """Apply the fidelity convention to one rate's outcome and refuse a non-finite result."""
+    if isinstance(outcome, CavityEntanglerError):
+        return outcome
+    fid, p, register, report = outcome
     if convention == "raw":
         fid = fid * p
     if not (math.isfinite(fid) and math.isfinite(p)):
-        raise NumericError(f"non-finite result: F={fid}, P={p}")
+        return NumericError(f"non-finite result: F={fid}, P={p}")
     return fid, p, register, report
 
 
@@ -355,6 +388,8 @@ def cmd_run(config: RunConfig, args) -> int:
             f"--dump-state writes the dense register and is capped at "
             f"{statespace.MAX_DENSE_QUBITS} register qubits, got {register_qubits}"
         )
+    for path in (args.dump_state, args.dump_h):
+        _check_writable(path)
     fid, p, register, report = _execute(config.protocol, config.n, config.lambdas,
                                         config.kappa, config.mode, args.fidelity_convention)
     print(f"protocol={config.protocol}")
@@ -404,36 +439,80 @@ def _dump_hamiltonians(config: RunConfig, path: str) -> None:
     _write_lines(path, lines)
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write each line with a trailing newline; an unwritable path is an ArgumentError."""
+def _cannot_write(path: str, exc: OSError) -> ArgumentError:
+    return ArgumentError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Refuse an output path that cannot be opened for writing, before any work.
+
+    Opens in append mode, so an existing file is not truncated, and removes
+    the file again if the check created it.
+    """
+    if not path:
+        return
+    existed = os.path.lexists(path)
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    if not existed:
+        os.unlink(path)
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write each line with a trailing newline; an unwritable path is an ArgumentError.
+
+    A write that fails part way removes the partial file.
+    """
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    try:
+        with fh:
             fh.writelines(f"{line}\n" for line in lines)
     except OSError as exc:
-        raise ArgumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+        os.unlink(path)
+        raise _cannot_write(path, exc) from None
 
 
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_point(task: tuple) -> tuple:
-    """One grid point; returns (N, ratio, fidelity, P, runtime, status)."""
-    protocol, n, ratio, lambdas, mode, convention = task
+def _sweep_point(task: tuple) -> list:
+    """The rows of one N over a batch of its ratios, in ratio order.
+
+    Each row is (N, ratio, fidelity, P, runtime, status); ``runtime`` is the
+    batch's wall time divided by its rows.
+    """
+    protocol, n, ratios, lambdas, mode, convention = task
     start = time.perf_counter()
-    fid = p = float("nan")
+    lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
+    lam_min = float(lams.min())
     try:
-        lams = _couplings(lambdas, n if protocol == "cluster" else n - 1)
-        fid, p, _, _ = _execute(protocol, n, lams, ratio * float(lams.min()), mode, convention)
-        status = "ok"
-    except RegimeError:
-        status = "regime_error"
-    except (ConvergenceError, FactorizationError, ProtocolError):
-        status = "convergence_error"
-    except CavityEntanglerError:
-        status = "error"
-    runtime = time.perf_counter() - start
-    return (n, ratio, fid, p, runtime, status)
+        outcomes = _execute_batch(protocol, n, lams, [r * lam_min for r in ratios], mode,
+                                  convention)
+    except CavityEntanglerError as exc:     # a failure shared by the whole batch
+        outcomes = [exc] * len(ratios)
+    runtime = (time.perf_counter() - start) / len(ratios)
+    rows = []
+    for ratio, outcome in zip(ratios, outcomes):
+        failed = isinstance(outcome, CavityEntanglerError)
+        fid, p = (math.nan, math.nan) if failed else outcome[:2]
+        rows.append((n, ratio, fid, p, runtime, _status(outcome)))
+    return rows
+
+
+def _status(outcome) -> str:
+    if isinstance(outcome, RegimeError):
+        return "regime_error"
+    if isinstance(outcome, (ConvergenceError, FactorizationError, ProtocolError)):
+        return "convergence_error"
+    if isinstance(outcome, CavityEntanglerError):
+        return "error"
+    return "ok"
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
@@ -444,22 +523,27 @@ def cmd_sweep(config: RunConfig, args) -> int:
     out_path = args.output or config.output
     if not out_path:
         raise ArgumentError("no output path (config 'output' or --output)")
+    for path in (out_path, args.gnuplot):
+        _check_writable(path)
     grid = config.sweep["kappa_over_lambda"]
-    ratios = np.linspace(grid["start"], grid["stop"], grid["steps"])
+    ratios = np.linspace(grid["start"], grid["stop"], grid["steps"]).tolist()
     n_list = config.sweep["N_list"]
-    tasks = [
-        (config.protocol, n, float(r), config.lambdas, config.mode, args.fidelity_convention)
-        for n in n_list
-        for r in ratios
-    ]
 
-    workers = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    # one task per N, or per chunk of its ratios when workers share the N
+    workers = min(args.jobs, os.cpu_count() or 1, len(ratios) * len(n_list))
+    size = -(-len(ratios) // workers)
+    tasks = [
+        (config.protocol, n, ratios[i:i + size], config.lambdas, config.mode,
+         args.fidelity_convention)
+        for n in n_list
+        for i in range(0, len(ratios), size)
+    ]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+            batches = list(pool.map(_sweep_point, tasks))
     else:
-        rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: (r[0], r[1]))
+        batches = [_sweep_point(t) for t in tasks]
+    rows = [row for batch in batches for row in batch]
     _write_lines(out_path, itertools.chain([CSV_HEADER], (
         f"{config.protocol},{n},{_fmt(ratio)},{_fmt(fid)},{_fmt(p)},{runtime:.3e},{status}"
         for n, ratio, fid, p, runtime, status in rows
@@ -651,9 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state in the parser, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         config = load_config(args.config) if args.config else None
         if args.command == "run":
             return cmd_run(config, args)

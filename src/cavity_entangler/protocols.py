@@ -160,7 +160,7 @@ def run_w(
     t = solution.duration
 
     if mode == ANALYTIC:
-        amps = analytic.w_amplitudes(solved, t)
+        amps = analytic.w_amplitudes(solved, t, solution.rest_coupling_sq)
         qubit1_tol, cavity_tol = 1e-10, 1e-12
     else:
         # single-excitation block, basis |1_1>, ..., |1_N>, |1_c>; start at |1_1>
@@ -180,7 +180,7 @@ def run_w(
     register = SingleExcitation(amps[1:-1])
     per_step = ((1, register.norm_sq()),)
 
-    target = analytic.w_target(rest, model.kappa, t)
+    target = analytic.w_target(rest, model.kappa, t, solution.rest_coupling_sq)
     report = RunReport(
         fidelity=metrics.fidelity(register, target),
         success_probability=register.norm_sq(),

@@ -201,6 +201,69 @@ def test_unwritable_output_exits_1(tmp_path, capsys, command, flags):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("sweep", ["--output", "{bad}"]),
+    ("sweep", ["--output", "{csv}", "--gnuplot", "{bad}"]),
+    ("run", ["--dump-state", "{bad}"]),
+    ("run", ["--dump-h", "{bad}"]),
+], ids=["output", "gnuplot", "dump-state", "dump-h"])
+def test_unwritable_output_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                   flags):
+    def no_work(*args):
+        raise AssertionError("work started before the output path check")
+
+    monkeypatch.setattr(cli_module, "_sweep_point", no_work)
+    monkeypatch.setattr(cli_module, "_execute", no_work)
+    bad, csv = tmp_path / "missing" / "x", tmp_path / "c.csv"
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                                  "sweep": {"kappa_over_lambda": _GRID}})
+    argv = [command, "--config", cfg] + [f.format(bad=bad, csv=csv) for f in flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {bad}: ")
+    assert not csv.exists()           # the check of a writable path leaves no file
+
+
+def test_output_check_keeps_an_existing_file(tmp_path, capsys, monkeypatch):
+    # the check opens without truncating; only a completed sweep replaces the file
+    def failing_rows(task):
+        raise RuntimeError("induced failure after the output path check")
+
+    out = tmp_path / "old.csv"
+    out.write_text("old contents\n")
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                                  "sweep": {"kappa_over_lambda": _GRID}})
+    monkeypatch.setattr(cli_module, "_sweep_point", failing_rows)
+    with pytest.raises(RuntimeError):
+        main(["sweep", "--config", cfg, "--output", str(out)])
+    assert out.read_text() == "old contents\n"
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    seen = []
+
+    def record(config, args):
+        seen.append(vars(args))
+        return 0
+
+    monkeypatch.setattr(cli_module, "cmd_run", record)
+    monkeypatch.setattr(cli_module, "cmd_sweep", record)
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0})
+    assert main(["sweep", "--config", cfg, "--output", "a.csv", "--jobs", "3",
+                 "--gnuplot", "a.gp", "--fidelity-convention", "raw"]) == 0
+    assert main(["run", "--config", cfg, "--dump-state", "s.txt"]) == 0
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["sweep", "--config", cfg]) == 0
+    common = {"config": cfg, "fidelity_convention": "normalized"}
+    assert seen[1:] == [
+        {"command": "run", **common, "dump_state": "s.txt", "dump_h": None},
+        {"command": "run", **common, "dump_state": None, "dump_h": None},
+        {"command": "sweep", **common, "output": None, "jobs": 1, "gnuplot": None},
+    ]
+    assert seen[0]["jobs"] == 3 and seen[0]["fidelity_convention"] == "raw"
+
+
 class TestUsage:
     """Usage errors exit 1 like config errors; each subcommand takes only the flags it reads."""
 
@@ -355,11 +418,11 @@ class TestRunCommand:
         assert "finite" in captured.err
 
     def test_non_finite_result_exits_3(self, tmp_path, capsys, monkeypatch):
-        # the executor's own check: the recursion below it is made to return NaN
-        def nan_recursion(model, n):
-            return float("nan"), 1.0
+        # the executor's own check: the batched recursion below it is made to return NaN
+        def nan_recursion(model, n, kappas):
+            return [(float("nan"), 1.0)] * len(kappas)
 
-        monkeypatch.setattr(cli_module.analytic, "cluster_fidelity_recursive", nan_recursion)
+        monkeypatch.setattr(cli_module.analytic, "cluster_fidelity_sweep", nan_recursion)
         out_csv = tmp_path / "nan.csv"
         cfg = write_config(
             tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0,
@@ -667,6 +730,122 @@ class TestSweepCommand:
             return [",".join(r.split(",")[:5] + r.split(",")[6:]) for r in rows]
 
         assert mask_runtime(a) == mask_runtime(b)
+
+    @staticmethod
+    def batch_grids():
+        rng = np.random.default_rng(20261020)
+        a, b = rng.uniform(0.5, 1.5, 2).tolist()
+        return {
+            "equal": ([1.3] * 3000, np.linspace(0.0, 0.1, 5).tolist()),
+            "distinct": (rng.uniform(0.5, 1.5, 3000).tolist(), np.linspace(0.0, 0.1, 5).tolist()),
+            "period-2": ([a, b] * 1500, np.linspace(0.0, 0.1, 4).tolist()),
+            # min(lambda) = 0.5: rows above 0.1 are out of regime
+            "regime-crossing": ([0.5] + rng.uniform(0.5, 1.5, 2999).tolist(),
+                                np.linspace(0.05, 0.2, 7).tolist()),
+        }
+
+    @pytest.mark.parametrize("grid", ["equal", "distinct", "period-2", "regime-crossing"])
+    @pytest.mark.parametrize("convention", ["normalized", "raw"])
+    def test_batched_rows_equal_the_per_ratio_recursion(self, grid, convention):
+        from cavity_entangler import EffectiveModel, RegimeError, analytic
+
+        lambdas, ratios = self.batch_grids()[grid]
+        lambdas = np.array(lambdas)
+        for n in (2, 17, 3000):
+            rows = cli_module._sweep_point(
+                ("cluster", n, ratios, lambdas, "analytic", convention))
+            assert [row[:2] for row in rows] == [(n, r) for r in ratios]
+            lams = lambdas[:n]
+            lam_min = float(lams.min())
+            for (_, ratio, fid, p, _, status) in rows:
+                kappa = ratio * lam_min
+                try:
+                    f_ref, p_ref = cli_module._execute("cluster", n, lams, kappa, "analytic",
+                                                       convention)[:2]
+                except RegimeError:
+                    assert status == "regime_error" and math.isnan(fid) and math.isnan(p)
+                    continue
+                f_rec, p_rec = analytic.cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
+                assert status == "ok"
+                assert (fid, p) == (f_ref, p_ref) == (
+                    f_rec * p_rec if convention == "raw" else f_rec, p_rec)
+            if grid == "regime-crossing":
+                assert {row[5] for row in rows} == {"ok", "regime_error"}
+
+    def test_an_out_of_regime_batch_is_all_regime_errors(self, tmp_path, capsys):
+        out_csv = tmp_path / "far.csv"
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+            "sweep": {"kappa_over_lambda": {"start": 0.2, "stop": 0.3, "steps": 3},
+                      "N_list": [3, 40]}})
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert [r[6] for r in rows] == ["regime_error"] * 6
+
+    def test_factorization_error_spoils_only_its_row(self, monkeypatch):
+        from cavity_entangler import analytic
+
+        ratios = np.linspace(0.0, 0.1, 5).tolist()
+        lambdas = np.full(50, 2.0)
+        clean = cli_module._sweep_point(("cluster", 50, ratios, lambdas, "analytic", "normalized"))
+        real = analytic._branch_coefficients
+        spoiled = ratios[2] * 2.0
+
+        def mistimed_drain(lam, kappa, duration):
+            stay_q, stay_c, hop, double = real(lam, kappa, duration)
+            return stay_q, (1e-3 if kappa == spoiled else stay_c), hop, double
+
+        monkeypatch.setattr(analytic, "_branch_coefficients", mistimed_drain)
+        rows = cli_module._sweep_point(("cluster", 50, ratios, lambdas, "analytic", "normalized"))
+        assert [row[5] for row in rows] == ["ok", "ok", "convergence_error", "ok", "ok"]
+        assert math.isnan(rows[2][2]) and math.isnan(rows[2][3])
+        assert [row[2:4] for k, row in enumerate(rows) if k != 2] == [
+            row[2:4] for k, row in enumerate(clean) if k != 2]
+
+    def test_pool_tasks_are_chunks_of_one_n(self, tmp_path, capsys, monkeypatch):
+        tasks = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                tasks.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+        out_csv = tmp_path / "j.csv"
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.0,
+            "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 5},
+                      "N_list": [2, 9]}})
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv), "--jobs", "2"]) == 0
+        ratios = np.linspace(0.0, 0.1, 5).tolist()
+        assert [(task[1], task[2]) for task in tasks] == [
+            (2, ratios[:3]), (2, ratios[3:]), (9, ratios[:3]), (9, ratios[3:])]
+        assert len(out_csv.read_text().splitlines()) == 11
+
+    def test_numeric_rows_never_run_the_batched_recursion(self, tmp_path, capsys, monkeypatch):
+        from cavity_entangler import analytic
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric sweep row ran the analytic recursion")
+
+        monkeypatch.setattr(analytic, "cluster_fidelity_sweep", forbidden)
+        out_csv = tmp_path / "numeric.csv"
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0, "mode": "numeric",
+            "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2}}})
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
+        assert out_csv.read_text().count(",ok\n") == 2
 
     def test_numeric_rows_never_run_the_recursion(self, tmp_path, capsys, monkeypatch):
         from cavity_entangler import EffectiveModel, analytic, run_cluster

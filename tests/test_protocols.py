@@ -252,8 +252,8 @@ class TestWRun:
 
             real_amplitudes = analytic.w_amplitudes
 
-            def recording_amplitudes(model, t):
-                sector["amps"] = real_amplitudes(model, t)
+            def recording_amplitudes(model, t, *rest_coupling_sq):
+                sector["amps"] = real_amplitudes(model, t, *rest_coupling_sq)
                 return sector["amps"]
 
             with pytest.MonkeyPatch.context() as mp:
@@ -264,6 +264,31 @@ class TestWRun:
             assert np.array_equal(dense.amplitudes, old_fill(sector["amps"], n).amplitudes)
             assert (dense.qubit_count, dense.fock_cutoff) == (n - 1, 1)
             assert report.success_probability == pytest.approx(dense.norm_sq(), rel=1e-14)
+
+    @pytest.mark.parametrize("mode", ["analytic", "numeric"])
+    def test_rest_couplings_summed_once_per_run(self, monkeypatch, mode):
+        # the solver's A'^2 feeds the amplitudes and the target
+        from cavity_entangler import metrics
+
+        sums = []
+        real = analytic._sum_sq
+
+        def counting(lams):
+            sums.append(len(lams))
+            return real(lams)
+
+        rest = (1.0, 1.3, 0.7, 1.1)
+        monkeypatch.setattr(analytic, "_sum_sq", counting)
+        register, report = run_w(EffectiveModel((1.0,) + rest, 0.04), 5, mode)
+        assert sums == [4]
+        # bit-identical to the amplitudes and target that sum A'^2 themselves
+        sol = report.details["solution"]
+        target = analytic.w_target(rest, 0.04, sol.duration)
+        assert report.fidelity == metrics.fidelity(register, target)
+        if mode == "analytic":
+            solved = EffectiveModel((sol.lambda1,) + rest, 0.04)
+            amps = analytic.w_amplitudes(solved, sol.duration)
+            assert np.array_equal(register.amplitudes, amps[1:-1])
 
     def test_analytic_runs_at_a_hundred_thousand_qubits(self):
         # equal couplings make left-to-right sums of squares drift ~N eps, so
