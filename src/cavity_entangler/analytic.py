@@ -48,6 +48,7 @@ from .errors import (
     FactorizationError,
     RegimeError,
     SectorError,
+    single_outcome,
 )
 from .hamiltonian import EffectiveModel
 from .records import RunReport
@@ -60,6 +61,12 @@ DRAIN = "drain"
 # which a cluster run raises FactorizationError: it is exact up to the drain
 # root's roundoff, so more signals a scheduling bug.
 CAVITY_TOL = 1e-10
+
+# Cap on runs x decay rates that one batched recursion stacks. Each run's map
+# pair takes 144 bytes and the recursion holds about four copies of the
+# stack, so a batch peaks near 40 MB; distinct couplings beyond the cap run
+# one decay rate at a time, whose stack is the only one a single rate needs.
+BATCH_RUN_MAPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,36 +199,39 @@ def _sz_on_last(vec: np.ndarray) -> np.ndarray:
     return w.reshape(-1)
 
 
-def _step_coefficients(model: EffectiveModel, n: int, kappas=None):
-    """Load coefficients (a, b, d) per distinct coupling, the runs, and the drain.
+def _coupling_runs(model: EffectiveModel, n: int):
+    """The distinct load couplings, the row of each run among them, and the run lengths.
 
-    At the load root: a = e^{-kappa t/4} (swap), b = a^2 (double survival),
-    d = kappa*a/(2 lam) (residual stay of the cavity-excited branch, which the
-    load root does not zero). The drain step runs to its own root, where the
-    cavity-excited stay vanishes instead.
-
-    Returns ``(coeffs, run_rows, lengths, drain)``. One comparison pass over
-    the N-1 load couplings splits them into runs of equal consecutive
-    couplings, and only the run heads are sorted to find the distinct ones:
-    ``step_params`` runs once per distinct coupling, row i of the (U, 3)
-    array ``coeffs`` holds its (a, b, d), run r uses row ``run_rows[r]`` for
-    ``lengths[r]`` steps, and ``drain`` is the drain's (swap amplitude a',
-    cavity-excited stay) at its root.
-
-    A sequence ``kappas`` of K decay rates takes the place of ``model.kappa``:
-    the runs are found once, ``coeffs`` is (U, K, 3) and ``drain`` is a list
-    of K pairs.
+    One comparison pass over the N-1 load couplings splits them into runs of
+    equal consecutive couplings, and only the run heads are sorted to find
+    the distinct ones: run r is ``lengths[r]`` steps of coupling
+    ``lams[run_rows[r]]``.
     """
-    rates = [model.kappa] if kappas is None else [float(kappa) for kappa in kappas]
     loads = model.lambdas[: n - 1]
     heads = np.flatnonzero(np.concatenate(([True], loads[1:] != loads[:-1])))
     lengths = np.diff(np.append(heads, loads.size))
     # each run's row comes with the sort; a binary search of the unsorted heads
     # in the distinct couplings costs 0.4 s at 10^6 distinct couplings
     lams, run_rows = np.unique(loads[heads], return_inverse=True)
-    coeffs = np.empty((lams.size, len(rates), 3))
-    lams, lam_drain, drain = lams.tolist(), float(model.lambdas[n - 1]), []
-    for k, kappa in enumerate(rates):
+    return lams.tolist(), run_rows, lengths
+
+
+def _step_coefficients(lams: list, lam_drain: float, kappas: list):
+    """Load coefficients (a, b, d) per distinct coupling and decay rate, and the drains.
+
+    At the load root: a = e^{-kappa t/4} (swap), b = a^2 (double survival),
+    d = kappa*a/(2 lam) (residual stay of the cavity-excited branch, which the
+    load root does not zero). The drain step runs to its own root, where the
+    cavity-excited stay vanishes instead.
+
+    Returns ``(coeffs, drain)``: ``step_params`` runs once per coupling of
+    ``lams`` and rate of ``kappas``, ``coeffs[i, k]`` holds the (a, b, d) of
+    coupling i at rate k, and ``drain[k]`` is the drain's (swap amplitude a',
+    cavity-excited stay) at its root at rate k.
+    """
+    coeffs = np.empty((len(lams), len(kappas), 3))
+    drain = []
+    for k, kappa in enumerate(kappas):
         for i, lam in enumerate(lams):
             p = step_params(lam, kappa, LOAD)
             a = p.swap_amp
@@ -229,9 +239,7 @@ def _step_coefficients(model: EffectiveModel, n: int, kappas=None):
         p = step_params(lam_drain, kappa, DRAIN)
         _, stay_c, hop, _ = _branch_coefficients(p.lam, kappa, p.duration)
         drain.append((-hop.imag, stay_c))    # hop = -i a'
-    if kappas is None:
-        return coeffs[:, 0], run_rows, lengths, drain[0]
-    return coeffs, run_rows, lengths, drain
+    return coeffs, drain
 
 
 def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunReport]:
@@ -268,20 +276,21 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
             "(use cluster_fidelity_recursive for larger n)"
         )
     _check_cluster_size(model, n)
-    coeffs, run_rows, lengths, drain = _step_coefficients(model, n)   # checks the regime
-    fid, p_success = _only(_recursion(coeffs, run_rows, lengths, drain))
+    lams, run_rows, lengths = _coupling_runs(model, n)
+    coeffs, drain = _step_coefficients(lams, float(model.lambdas[n - 1]), [model.kappa])
+    fid, p_success = single_outcome(_recursion(coeffs, run_rows, lengths, drain))
 
     x = np.array([1.0], dtype=float)
     y = np.array([1.0], dtype=float)
     per_step = []
-    steps = np.repeat(coeffs[run_rows], lengths, axis=0)    # one (a, b, d) row per load step
+    steps = np.repeat(coeffs[run_rows, 0], lengths, axis=0)    # one (a, b, d) row per load step
     for k, (a, b, d) in enumerate(steps.tolist(), start=1):
         szy = _sz_on_last(y) if k > 1 else y
         x, y = _interleave(x, a * szy), _interleave(a * x + d * szy, b * szy)
         per_step.append((k, (float(x @ x) + float(y @ y)) / 2 ** (k + 1)))
     per_step.append((n, p_success))
 
-    drain_amp, stay_c = drain
+    drain_amp, stay_c = drain[0]
     scale = 2.0 ** (-n / 2.0)
     state = StateVector(_interleave(x, drain_amp * _sz_on_last(y)) * scale, n, 1)
     report = RunReport(
@@ -348,38 +357,38 @@ def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, fl
     (``cluster_analytic`` reports them); F agrees with a 120-bit evaluation
     of the recursion to ~1e-12 at N = 20000.
     """
-    _check_cluster_size(model, n)
-    return _only(_recursion(*_step_coefficients(model, n)))
+    return single_outcome(cluster_fidelity_sweep(model, n, [model.kappa]))
 
 
 def cluster_fidelity_sweep(model: EffectiveModel, n: int, kappas) -> list:
-    """``cluster_fidelity_recursive`` at each decay rate of ``kappas`` in one batch.
+    """``cluster_fidelity_recursive`` at each decay rate of ``kappas``, batched.
 
     ``model`` gives the couplings; its own ``kappa`` is not read. The runs
-    of equal couplings are found once, and the map pairs of every decay rate
-    are raised and multiplied together, stacked beside the run axis, so the
-    result at each rate is bit-identical to ``cluster_fidelity_recursive``
-    with that rate. Returns, per decay rate, ``(F, P)`` or the
-    FactorizationError of that rate's cavity check, so one mistimed drain
-    does not spoil the other rates. No decay rates give an empty list.
+    of equal couplings are found once, and the map pairs of up to
+    ``BATCH_RUN_MAPS // runs`` decay rates (at least one) are raised and
+    multiplied together, stacked beside the run axis, so the result at each
+    rate is bit-identical to ``cluster_fidelity_recursive`` with that rate.
+    Returns, per decay rate, ``(F, P)`` or the FactorizationError of that
+    rate's cavity check, so one mistimed drain does not spoil the other
+    rates. No decay rates give an empty list.
     """
     _check_cluster_size(model, n)
-    return _recursion(*_step_coefficients(model, n, kappas))
-
-
-def _only(outcomes: list) -> Tuple[float, float]:
-    """The (F, P) of a batch of one decay rate, raising its FactorizationError."""
-    (outcome,) = outcomes
-    if isinstance(outcome, FactorizationError):
-        raise outcome
-    return outcome
+    kappas = [float(kappa) for kappa in kappas]
+    lams, run_rows, lengths = _coupling_runs(model, n)
+    lam_drain = float(model.lambdas[n - 1])
+    size = max(1, BATCH_RUN_MAPS // run_rows.size)
+    outcomes = []
+    for start in range(0, len(kappas), size):
+        coeffs, drain = _step_coefficients(lams, lam_drain, kappas[start:start + size])
+        outcomes += _recursion(coeffs, run_rows, lengths, drain)
+    return outcomes
 
 
 def _recursion(coeffs, run_rows, lengths, drain) -> list:
-    """``cluster_fidelity_sweep`` on the output of ``_step_coefficients``.
+    """(F, P) or the FactorizationError per decay rate, from ``_step_coefficients``.
 
-    ``coeffs`` is (U, 3) with one drain pair, or (U, K, 3) with K drain
-    pairs; the outcomes are listed per decay rate either way.
+    ``coeffs`` is (distinct coupling, decay rate, 3) with one drain pair per
+    decay rate; run r uses row ``run_rows[r]`` for ``lengths[r]`` steps.
     """
     a, b, d = coeffs[..., 0], coeffs[..., 1], coeffs[..., 2]
     one, zero = np.ones_like(a), np.zeros_like(a)
@@ -387,15 +396,15 @@ def _recursion(coeffs, run_rows, lengths, drain) -> list:
     maps = 0.5 * np.array([
         [[one, a, zero], [a, b, d], [-a, b, -d]],                                  # (s, u, g~)
         [[one, a_sq, zero], [a_sq, b * b + d * d, 2.0 * a * d], [-a, a * b, -d]],  # (p, q, g)
-    ])                                     # (family, 3, 3, distinct coupling[, decay rate])
+    ])                                       # (family, 3, 3, distinct coupling, decay rate)
     # (distinct coupling, decay rate x family, 3, 3): rate k's families at 2k and 2k+1
-    maps = maps.transpose(*range(3, maps.ndim), 0, 1, 2).reshape(len(coeffs), -1, 3, 3)
+    maps = maps.transpose(3, 4, 0, 1, 2).reshape(len(coeffs), -1, 3, 3)
     powers, exps = _run_powers(maps[run_rows], lengths)
     mantissas, exps = _chain_product(powers, exps)
     sums = mantissas[:, :2].sum(axis=2).tolist()     # the scalars all start at 1
     exps = exps.tolist()
     outcomes = []
-    for k, (drain_amp, stay_c) in enumerate([drain] if coeffs.ndim == 2 else drain):
+    for k, (drain_amp, stay_c) in enumerate(drain):
         (s, u), (p, q) = sums[2 * k], sums[2 * k + 1]
         e_su, e_pq = exps[2 * k], exps[2 * k + 1]
         num = s + drain_amp * u

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import itertools
 import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ from .errors import (
     ProtocolError,
     RegimeError,
     SectorError,
+    single_outcome,
 )
 from .hamiltonian import (
     REGIME_MAX_KAPPA_OVER_LAMBDA,
@@ -319,10 +322,7 @@ def _execute(protocol: str, n: int, lams: np.ndarray, kappa: float, mode: str, c
 
     Returns ``(F, P, register, report)`` or raises the rate's error.
     """
-    (outcome,) = _execute_batch(protocol, n, lams, [kappa], mode, convention)
-    if isinstance(outcome, CavityEntanglerError):
-        raise outcome
-    return outcome
+    return single_outcome(_execute_batch(protocol, n, lams, [kappa], mode, convention))
 
 
 def _execute_batch(protocol: str, n: int, lams: np.ndarray, kappas, mode: str,
@@ -457,13 +457,17 @@ def _check_writable(path: Optional[str]) -> None:
     except OSError as exc:
         raise _cannot_write(path, exc) from None
     if not existed:
-        os.unlink(path)
+        with contextlib.suppress(OSError):
+            os.unlink(path)
 
 
 def _write_lines(path: str, lines) -> None:
     """Write each line with a trailing newline; an unwritable path is an ArgumentError.
 
-    A write that fails part way removes the partial file.
+    A write that fails part way removes the partial file if the path is a
+    regular file (the open already discarded any earlier content); a device
+    such as /dev/full, a FIFO or a symlink is left in place, and a removal
+    that fails still reports the write error.
     """
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
@@ -473,7 +477,9 @@ def _write_lines(path: str, lines) -> None:
         with fh:
             fh.writelines(f"{line}\n" for line in lines)
     except OSError as exc:
-        os.unlink(path)
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
         raise _cannot_write(path, exc) from None
 
 

@@ -60,3 +60,15 @@ class NumericError(CavityEntanglerError):
 
 class RegimeWarning(UserWarning):
     """Parameters accepted but outside the supported/validated regime."""
+
+
+def single_outcome(outcomes: list):
+    """The outcome of a batch of one: its value, or its package error raised.
+
+    Batched evaluations list one outcome per input, a value or the error
+    that stopped that input, so one failure does not spoil the others.
+    """
+    (outcome,) = outcomes
+    if isinstance(outcome, CavityEntanglerError):
+        raise outcome
+    return outcome

@@ -341,6 +341,37 @@ class TestClusterFidelityRecursive:
         runs = 1 + sum(a != b for a, b in zip(lams[:4998], lams[1:4999]))
         assert seen.pop() == (runs, 2, 3, 3)
 
+    def test_a_batch_stacks_at_most_the_run_map_budget(self, rng, monkeypatch):
+        # past the budget, distinct couplings run one decay rate per stack;
+        # a single run stacks every rate at once
+        seen = []
+        real = analytic._run_powers
+
+        def recording(maps, lengths):
+            seen.append(maps.shape)
+            return real(maps, lengths)
+
+        monkeypatch.setattr(analytic, "_run_powers", recording)
+        n = analytic.BATCH_RUN_MAPS // 2 + 2           # n - 1 runs, more than half the budget
+        lams = tuple(rng.uniform(0.5, 2.0, n))
+        kappas = [0.0, 0.01, 0.025, 0.049]
+        model = EffectiveModel(lams, 0.0)
+        batched = analytic.cluster_fidelity_sweep(model, n, kappas)
+        assert seen == [(n - 1, 2, 3, 3)] * len(kappas)
+        equal = analytic.cluster_fidelity_sweep(EffectiveModel((1.0,) * n, 0.0), n, kappas * 10)
+        assert seen[-1] == (1, 80, 3, 3) and len(seen) == len(kappas) + 1
+        monkeypatch.setattr(analytic, "BATCH_RUN_MAPS", 64)
+        seen.clear()
+        small = analytic.cluster_fidelity_sweep(EffectiveModel(lams[:20], 0.0), 20, kappas * 2)
+        assert seen == [(19, 6, 3, 3)] * 2 + [(19, 4, 3, 3)]
+        monkeypatch.setattr(analytic, "_run_powers", real)
+        for kappa, result in zip(kappas, batched):
+            assert result == cluster_fidelity_recursive(EffectiveModel(lams, kappa), n)
+        for kappa, result in zip(kappas * 10, equal):
+            assert result == cluster_fidelity_recursive(EffectiveModel((1.0,) * n, kappa), n)
+        for kappa, result in zip(kappas * 2, small):
+            assert result == cluster_fidelity_recursive(EffectiveModel(lams[:20], kappa), 20)
+
     def test_one_step_params_call_per_distinct_coupling(self, monkeypatch):
         calls = []
 
@@ -399,22 +430,18 @@ class TestClusterFidelityRecursive:
         batched = [cluster_analytic(model, n) for model, n in models]
 
         def per_step(model, n):
-            # one row per step; each run of equal consecutive couplings uses the
-            # row of its first step, so the recursion sees the same runs
-            rows, run_rows, lengths = [], [], []
-            for k, lam in enumerate(model.lambdas[: n - 1].tolist()):
-                p = step_params(lam, model.kappa, LOAD)
-                rows.append((p.swap_amp, p.double_amp, model.kappa * p.swap_amp / (2.0 * lam)))
-                if k and lam == model.lambdas[k - 1]:
+            # one coupling row per step; each run of equal consecutive couplings
+            # uses the row of its first step, so the recursion sees the same runs
+            lams, run_rows, lengths = model.lambdas[: n - 1].tolist(), [], []
+            for k, lam in enumerate(lams):
+                if k and lam == lams[k - 1]:
                     lengths[-1] += 1
                 else:
                     run_rows.append(k)
                     lengths.append(1)
-            drain = step_params(float(model.lambdas[n - 1]), model.kappa, DRAIN)
-            _, stay_c, hop, _ = _branch_coefficients(drain.lam, model.kappa, drain.duration)
-            return np.array(rows), np.array(run_rows), np.array(lengths), (-hop.imag, stay_c)
+            return lams, np.array(run_rows), np.array(lengths)
 
-        monkeypatch.setattr(analytic, "_step_coefficients", per_step)
+        monkeypatch.setattr(analytic, "_coupling_runs", per_step)
         for (model, n), (state, report) in zip(models, batched):
             ref_state, ref_report = cluster_analytic(model, n)
             assert np.array_equal(state.amplitudes, ref_state.amplitudes)

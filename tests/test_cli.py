@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -238,6 +241,69 @@ def test_output_check_keeps_an_existing_file(tmp_path, capsys, monkeypatch):
     with pytest.raises(RuntimeError):
         main(["sweep", "--config", cfg, "--output", str(out)])
     assert out.read_text() == "old contents\n"
+
+
+class _FullDisk:
+    """A file opened for writing that takes one line, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, lines):
+        self.fh.write(next(iter(lines)))
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _full_disk_open(path, mode="r", **kwargs):
+    fh = open(path, mode, **kwargs)
+    return _FullDisk(fh) if mode == "w" else fh
+
+
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+def test_failed_write_leaves_no_partial_csv(tmp_path, capsys, monkeypatch, existed):
+    out = tmp_path / "out.csv"
+    if existed:
+        out.write_text("old contents\n")
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                                  "sweep": {"kappa_over_lambda": _GRID}})
+    monkeypatch.setattr(cli_module, "open", _full_disk_open, raising=False)
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No space left on device\n"
+    assert not out.exists()
+
+
+def test_failed_removal_still_exits_1(tmp_path, capsys, monkeypatch):
+    def refused(path):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    out = tmp_path / "out.csv"
+    out.write_text("old contents\n")
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                                  "sweep": {"kappa_over_lambda": _GRID}})
+    monkeypatch.setattr(cli_module, "open", _full_disk_open, raising=False)
+    monkeypatch.setattr(cli_module.os, "unlink", refused)
+    assert main(["sweep", "--config", cfg, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No space left on device\n"
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and stat.S_ISCHR(os.stat("/dev/full").st_mode)),
+                    reason="needs the /dev/full device")
+def test_failed_write_to_a_device_leaves_the_device(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                                  "sweep": {"kappa_over_lambda": _GRID}})
+    assert main(["sweep", "--config", cfg, "--output", "/dev/full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write /dev/full: ") and len(err.splitlines()) == 1
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
