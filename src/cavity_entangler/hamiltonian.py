@@ -141,7 +141,8 @@ class OperatorMatrix:
 
 
 def _kron(*ops) -> np.ndarray:
-    return reduce(np.kron, ops)
+    """Kronecker product of the factors; a 1x1 identity factor is skipped, not multiplied."""
+    return reduce(np.kron, [op for op in ops if op.shape != (1, 1) or op[0, 0] != 1])
 
 
 def _annihilator(cutoff: int) -> np.ndarray:

@@ -67,6 +67,18 @@ def oracle_evolve(h, vec, t):
     return expm(-1j * np.asarray(h, dtype=complex) * t) @ np.asarray(vec, dtype=complex)
 
 
+def oracle_cluster_input(n):
+    """The cluster protocol's joint input, one np.kron per qubit.
+
+    Qubits 1..N-1 in |+>, qubit N in |0>, the cavity in (|0> + i|1>)/sqrt(2).
+    """
+    vec = np.array([1.0], dtype=complex)
+    for j in range(1, n + 1):
+        q = np.array([1, 1], complex) / np.sqrt(2) if j < n else np.array([1, 0], complex)
+        vec = np.kron(vec, q)
+    return np.kron(vec, np.array([1, 1j], complex) / np.sqrt(2))
+
+
 def oracle_cluster_protocol(lams, kappa):
     """Full protocol run with expm only: returns the final joint state vector.
 
@@ -74,11 +86,7 @@ def oracle_cluster_protocol(lams, kappa):
     step N at the root of the cavity-excited one (so the photon fully drains).
     """
     n = len(lams)
-    vec = np.array([1.0], dtype=complex)
-    for j in range(1, n + 1):
-        q = np.array([1, 1], complex) / np.sqrt(2) if j < n else np.array([1, 0], complex)
-        vec = np.kron(vec, q)
-    psi = np.kron(vec, np.array([1, 1j], complex) / np.sqrt(2))
+    psi = oracle_cluster_input(n)
     for j in range(1, n + 1):
         lam = lams[j - 1]
         g = np.sqrt(lam**2 - kappa**2 / 16)

@@ -414,6 +414,27 @@ class TestRunCommand:
         assert "P=1.000000000000" in out
         assert "protocol=cluster" in out
 
+    def test_analytic_runs_never_import_scipy(self, tmp_path):
+        import subprocess
+        import sys
+
+        configs = [
+            write_config(tmp_path, {"protocol": "cluster", "N": 4, "lambdas": 1.0,
+                                    "kappa": 0.01}, "cluster.json"),
+            write_config(tmp_path, {"protocol": "wstate", "N": 5, "lambdas": 1.0,
+                                    "kappa": 0.01}, "w.json"),
+        ]
+        script = (
+            "import sys\n"
+            "import cavity_entangler.cli as cli\n"
+            f"codes = [cli.main(['run', '--config', c]) for c in {configs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
     def test_regime_violation_exits_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, {"protocol": "cluster", "N": 2, "lambdas": 1.0, "kappa": 0.5}
@@ -899,20 +920,6 @@ class TestSweepCommand:
             (2, ratios[:3]), (2, ratios[3:]), (9, ratios[:3]), (9, ratios[3:])]
         assert len(out_csv.read_text().splitlines()) == 11
 
-    def test_numeric_rows_never_run_the_batched_recursion(self, tmp_path, capsys, monkeypatch):
-        from cavity_entangler import analytic
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("numeric sweep row ran the analytic recursion")
-
-        monkeypatch.setattr(analytic, "cluster_fidelity_sweep", forbidden)
-        out_csv = tmp_path / "numeric.csv"
-        cfg = write_config(tmp_path, {
-            "protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0, "mode": "numeric",
-            "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2}}})
-        assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
-        assert out_csv.read_text().count(",ok\n") == 2
-
     def test_numeric_rows_never_run_the_recursion(self, tmp_path, capsys, monkeypatch):
         from cavity_entangler import EffectiveModel, analytic, run_cluster
 
@@ -928,20 +935,20 @@ class TestSweepCommand:
             "mode": "numeric",
             "sweep": {
                 "kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 3},
-                "N_list": [4, 30],
+                "N_list": [3, 4, 30],
             },
             "output": str(out_csv),
         }
-        monkeypatch.setattr(analytic, "cluster_fidelity_recursive", forbidden)
+        monkeypatch.setattr(analytic, "cluster_fidelity_sweep", forbidden)
         assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
         rows = [l.split(",") for l in out_csv.read_text().strip().splitlines()[1:]]
-        assert len(rows) == 6
+        assert len(rows) == 9
         for r in rows:
             n, ratio = int(r[1]), float(r[2])
             if n == 30:
                 assert r[3:5] == ["nan", "nan"] and r[6] == "error"
                 continue
-            _, report = run_cluster(EffectiveModel((1.0,) * 4, ratio), 4, "numeric")
+            _, report = run_cluster(EffectiveModel((1.0,) * n, ratio), n, "numeric")
             assert r[6] == "ok"
             assert r[3:5] == [cli_module._fmt(report.fidelity),
                               cli_module._fmt(report.success_probability)]

@@ -139,6 +139,19 @@ class TestBuildEffective:
         assert h[1, 1] == pytest.approx(-0.1j)
         assert np.array_equal(h, oracle_hamiltonian((1.0,), 0.2, set()))
 
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_exchange_term_bitwise_equal_to_kron_with_identities(self, cutoff):
+        # every factor kron'd in, 1x1 identities too; tobytes also compares the signs of zeros
+        a = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
+        low = np.array([[0, 1], [0, 0]], dtype=complex)
+        for n in range(1, 5):
+            for j in range(1, n + 1):
+                pre = np.eye(1 << (j - 1), dtype=complex)
+                post = np.eye(1 << (n - j), dtype=complex)
+                full = (np.kron(np.kron(np.kron(pre, low), post), a.conj().T)
+                        + np.kron(np.kron(np.kron(pre, low.conj().T), post), a))
+                assert exchange_term(n, j, cutoff).tobytes() == full.tobytes()
+
     def test_step_term_outside_the_register_rejected(self):
         for j in (0, 3):
             with pytest.raises(ArgumentError):

@@ -6,6 +6,7 @@ import pytest
 
 from cavity_entangler import (
     ArgumentError,
+    ConvergenceError,
     EffectiveModel,
     OperatorMatrix,
     PropagatorOptions,
@@ -18,7 +19,7 @@ from cavity_entangler import (
 from cavity_entangler import numeric
 from cavity_entangler.hamiltonian import build_single_excitation
 
-from conftest import number_operator
+from conftest import number_operator, oracle_evolve
 
 RK_OPTS = PropagatorOptions(method="adaptive-integrator")
 
@@ -94,6 +95,64 @@ class TestBlockEvolution:
         for k in range(block.shape[1]):
             column = evolve_vector(h, block[:, k], 1.7, opts)
             assert np.max(np.abs(out[:, k] - column)) <= tol
+
+
+def decaying_generators(rng, count, dim):
+    """A (count, dim, dim) stack of random Hermitian matrices minus a small decay diagonal."""
+    m = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    h = (m + m.conj().transpose(0, 2, 1)) / 2
+    return h - 0.1j * rng.uniform(0, 1, (count, 1, dim)) * np.eye(dim)
+
+
+class TestStackedEvolution:
+    @pytest.mark.parametrize("opts", [PropagatorOptions(), RK_OPTS], ids=["expm", "dopri5"])
+    @pytest.mark.parametrize("dim, width", [(4, 4), (5, None), (3, 2)])
+    def test_each_member_equals_its_unstacked_call(self, rng, opts, dim, width):
+        stack = decaying_generators(rng, 6, dim)
+        times = rng.uniform(0.2, 2.0, 6)
+        times[2] = 0.0
+        shape = (dim,) if width is None else (dim, width)
+        vec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = evolve_vector(stack, vec, times, opts)
+        assert out.shape == (6,) + shape
+        for k in range(6):
+            alone = evolve_vector(stack[k], vec, times[k], opts)
+            assert out[k].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("opts, tol", [(PropagatorOptions(), 1e-13), (RK_OPTS, 1e-8)],
+                             ids=["expm", "dopri5"])
+    def test_zero_and_tenfold_durations_finish(self, rng, opts, tol):
+        stack = decaying_generators(rng, 4, 4)
+        times = np.array([0.3, 0.0, 3.0, 0.03])
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        vec[3] = complex(-0.0, -0.0)           # a zero duration keeps even its sign
+        out = evolve_vector(stack, vec, times, opts)
+        assert out[1].tobytes() == vec.tobytes()
+        for k in (0, 2, 3):
+            assert np.max(np.abs(out[k] - oracle_evolve(stack[k], vec, times[k]))) <= tol
+
+    @pytest.mark.parametrize("times", [[0.5, -1e-9, 0.5], [0.5, 0.5], [0.5, 0.5, 0.5, 0.5],
+                                       0.5, [0.5, float("nan"), 0.5]])
+    def test_bad_durations_rejected(self, times):
+        stack = np.zeros((3, 4, 4))
+        for opts in (PropagatorOptions(), RK_OPTS):
+            with pytest.raises(ArgumentError):
+                evolve_vector(stack, np.ones(4), times, opts)
+
+    def test_step_underflow_fires_inside_a_stack(self, rng):
+        stack = decaying_generators(rng, 3, 4)
+        stack[1] *= 1e17                     # its first step is below 1e-15 of its duration
+        with pytest.raises(ConvergenceError, match="underflow"):
+            evolve_vector(stack, np.eye(4), np.ones(3), RK_OPTS)
+
+    def test_step_limit_fires_inside_a_stack(self, rng, monkeypatch):
+        stack = decaying_generators(rng, 3, 4)
+        times = np.array([1e-3, 1e-3, 50.0])   # only the long member outlives the limit
+        monkeypatch.setattr(numeric, "MAX_STEPS", 20)
+        with pytest.raises(ConvergenceError, match="exceeded 20 steps"):
+            evolve_vector(stack, np.eye(4), times, RK_OPTS)
+        out = evolve_vector(stack[:2], np.eye(4), times[:2], RK_OPTS)
+        assert np.all(np.isfinite(out))
 
 
 F = Fraction

@@ -31,7 +31,13 @@ from cavity_entangler import (
 from cavity_entangler import PropagatorOptions, cli, numeric, protocols, statespace, w_solve_lambda1
 from cavity_entangler.protocols import CAVITY_TOL, MAX_NUMERIC_W_QUBITS
 
-from conftest import number_operator, oracle_cluster_protocol, oracle_evolve, oracle_hamiltonian
+from conftest import (
+    number_operator,
+    oracle_cluster_input,
+    oracle_cluster_protocol,
+    oracle_evolve,
+    oracle_hamiltonian,
+)
 
 RK_OPTS = PropagatorOptions(method="adaptive-integrator")
 
@@ -190,6 +196,17 @@ class TestClusterRun:
         # qubit 3 grounded, cavity in (|0> + i|1>)/sqrt(2)
         assert psi.amplitude([0, 0, 0], 1) == pytest.approx(1j / (2 * math.sqrt(2)))
         assert psi.amplitude([0, 0, 1], 0) == 0
+
+    def test_initial_state_needs_a_qubit(self):
+        with pytest.raises(ArgumentError):
+            cluster_initial_state(0)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_initial_state_bitwise_equal_to_kron_form(self, n):
+        # tobytes also compares the signs of zeros
+        psi = cluster_initial_state(n)
+        assert (psi.qubit_count, psi.fock_cutoff) == (n, 2)
+        assert psi.amplitudes.tobytes() == oracle_cluster_input(n).tobytes()
 
 
 class TestWRun:
