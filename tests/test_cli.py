@@ -920,6 +920,20 @@ class TestSweepCommand:
             (2, ratios[:3]), (2, ratios[3:]), (9, ratios[:3]), (9, ratios[3:])]
         assert len(out_csv.read_text().splitlines()) == 11
 
+    def test_numeric_rows_never_run_the_batched_recursion(self, tmp_path, capsys, monkeypatch):
+        from cavity_entangler import analytic
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric sweep row ran the analytic recursion")
+
+        monkeypatch.setattr(analytic, "cluster_fidelity_sweep", forbidden)
+        out_csv = tmp_path / "numeric.csv"
+        cfg = write_config(tmp_path, {
+            "protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0, "mode": "numeric",
+            "sweep": {"kappa_over_lambda": {"start": 0.0, "stop": 0.1, "steps": 2}}})
+        assert main(["sweep", "--config", cfg, "--output", str(out_csv)]) == 0
+        assert out_csv.read_text().count(",ok\n") == 2
+
     def test_numeric_rows_never_run_the_recursion(self, tmp_path, capsys, monkeypatch):
         from cavity_entangler import EffectiveModel, analytic, run_cluster
 
