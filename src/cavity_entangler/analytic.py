@@ -181,22 +181,13 @@ def ideal_cluster(n: int) -> StateVector:
     """The decay-free target: 2^{-N/2} prod_j (|0>_j + |1>_j sigma_z^{j-1}).
 
     sigma_z^0 is the identity (qubit 1 has no left neighbor); sigma_z uses the
-    |1><1| - |0><0| sign convention throughout.
+    |1><1| - |0><0| sign convention throughout. It is the cluster register
+    at kappa = 0, where every step has a = b = 1 and d = 0 and the drain
+    amplitude is 1, so every amplitude is exactly +-2^{-N/2}.
     """
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ArgumentError(f"n must be in 1..{MAX_DENSE_QUBITS}, got {n}")
-    vec = np.array([1.0])
-    for q in range(1, n + 1):
-        flipped = _sz_on_last(vec) if q > 1 else vec
-        vec = _interleave(vec, flipped)
-    return StateVector(vec / 2 ** (n / 2.0), n, 1)
-
-
-def _sz_on_last(vec: np.ndarray) -> np.ndarray:
-    """Sign-flipped-|0> sigma_z on the most recently appended qubit."""
-    w = vec.reshape(-1, 2).copy()
-    w[:, 0] *= -1
-    return w.reshape(-1)
+    return StateVector(_split_register([(1.0, 1.0, 0.0)] * (n - 1), 1.0), n, 1)
 
 
 def _coupling_runs(model: EffectiveModel, n: int):
@@ -262,13 +253,25 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
 
         psi_N = 2^{-N/2} (|0>_N x_{N-1} + a'_N sigma_z^{N-1} |1>_N y_{N-1}) (x) |0_c>
 
-    Per-step norms are 2^{-(k+1)} (|x_k|^2 + |y_k|^2). The fidelity, the
-    success probability (the last per-step norm) and the cavity-factorization
-    check come from ``cluster_fidelity_recursive``'s recursion, the one
-    analytic F and P at every N, run on the coefficients the register loop
-    uses. The drain's cavity-excited stay coefficient, zero at the
-    drain root, leaves the weight 2^{-N/2} |stay_c| |y_{N-1}| at photon 1;
-    it is reported as ``details["cavity_residual"]``.
+    The pair (x_k, sigma_z^k y_k) is linear in (x_{k-1}, sigma_z^{k-1} y_{k-1}),
+    so the register is a bond-2 product and factors across any cut h into
+    ``L @ R``: L is the (2^h, 2) block [x_h, sigma_z^h y_h] of steps 1..h,
+    and R is the (2, 2^{N-h}) block that steps h+1..N-1 and the drain make
+    of the two unit seeds (1, 0) and (0, 1). ``_split_register`` builds both
+    halves at the cut h = floor((N-1)/2) and forms the register in one real
+    matmul, so no step touches more than 2^{N-h+1} entries and the complex
+    cast in ``StateVector`` is the register's only full copy.
+
+    Per-step norms 2^{-(k+1)} (|x_k|^2 + |y_k|^2) = (p_k + q_k)/2 come from
+    N scalar updates of the halved (p, q, g) map of
+    ``cluster_fidelity_recursive``, not from the dense blocks. The fidelity,
+    the success probability (the last per-step norm) and the
+    cavity-factorization check come from ``cluster_fidelity_recursive``'s
+    recursion, the one analytic F and P at every N, run on the coefficients
+    the register uses. The drain's cavity-excited stay coefficient, zero at
+    the drain root, leaves the weight 2^{-N/2} |stay_c| |y_{N-1}| =
+    |stay_c| sqrt(q_{N-1}/2) at photon 1; it is reported as
+    ``details["cavity_residual"]``.
     """
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(
@@ -280,34 +283,56 @@ def cluster_analytic(model: EffectiveModel, n: int) -> Tuple[StateVector, RunRep
     coeffs, drain = _step_coefficients(lams, float(model.lambdas[n - 1]), [model.kappa])
     fid, p_success = single_outcome(_recursion(coeffs, run_rows, lengths, drain))
 
-    x = np.array([1.0], dtype=float)
-    y = np.array([1.0], dtype=float)
+    steps = np.repeat(coeffs[run_rows, 0], lengths, axis=0).tolist()   # (a, b, d) per load step
     per_step = []
-    steps = np.repeat(coeffs[run_rows, 0], lengths, axis=0)    # one (a, b, d) row per load step
-    for k, (a, b, d) in enumerate(steps.tolist(), start=1):
-        szy = _sz_on_last(y) if k > 1 else y
-        x, y = _interleave(x, a * szy), _interleave(a * x + d * szy, b * szy)
-        per_step.append((k, (float(x @ x) + float(y @ y)) / 2 ** (k + 1)))
+    p = q = g = 1.0             # halved |x_k|^2, |y_k|^2, <x_k|sigma_z y_k>
+    for k, (a, b, d) in enumerate(steps, start=1):
+        a_sq = a * a
+        p, q, g = (
+            0.5 * (p + a_sq * q),
+            0.5 * (a_sq * p + (b * b + d * d) * q + 2.0 * a * d * g),
+            0.5 * (-a * p + a * b * q - d * g),
+        )
+        per_step.append((k, 0.5 * (p + q)))
     per_step.append((n, p_success))
 
     drain_amp, stay_c = drain[0]
-    scale = 2.0 ** (-n / 2.0)
-    state = StateVector(_interleave(x, drain_amp * _sz_on_last(y)) * scale, n, 1)
+    state = StateVector(_split_register(steps, drain_amp), n, 1)
     report = RunReport(
         fidelity=fid,
         success_probability=p_success,
         per_step=tuple(per_step),
-        details={"cavity_residual": abs(stay_c) * math.sqrt(float(y @ y)) * scale},
+        details={"cavity_residual": abs(stay_c) * math.sqrt(0.5 * q)},
     )
     return state, report
 
 
-def _interleave(zero: np.ndarray, one: np.ndarray) -> np.ndarray:
-    """Append a qubit: ``zero`` on its |0> branch, ``one`` on its |1> branch."""
-    out = np.empty(2 * zero.size, dtype=np.result_type(zero, one))
-    out[0::2] = zero
-    out[1::2] = one
-    return out
+def _split_register(steps: list, drain_amp: float) -> np.ndarray:
+    """The real cluster register 2^{-N/2} L @ R, qubit-1-major, for N - 1 (a, b, d) rows.
+
+    Rows 1..h build L from the seed branch pair x_0 = y_0 = 1, the rest and
+    the drain build R from the unit seeds; see ``cluster_analytic``.
+    """
+    n = len(steps) + 1
+    cut = (n - 1) // 2
+    left = _grow(np.ones((1, 1, 2)), steps[:cut])[0]
+    right = _grow(np.eye(2).reshape(2, 1, 2), steps[cut:]) * (1.0, drain_amp)
+    return ((left * 2.0 ** (-n / 2.0)) @ right.reshape(2, -1)).reshape(-1)
+
+
+def _grow(block: np.ndarray, steps: list) -> np.ndarray:
+    """Append one qubit per (a, b, d) row to each seed's branch pair.
+
+    ``block`` is (seeds, 2^m, 2): per seed, x and sigma_z y over m qubits,
+    sigma_z on the newest. A step maps them to the new qubit's |0> branch
+    (x, -a x - d sigma_z y) and its |1> branch (a sigma_z y, b sigma_z y),
+    which leaves sigma_z on the new qubit; one (2, 4) matmul does both.
+    """
+    for a, b, d in steps:
+        seeds, size, _ = block.shape
+        block = (block @ np.array([[1.0, -a, 0.0, 0.0], [0.0, -d, a, b]])).reshape(
+            seeds, 2 * size, 2)
+    return block
 
 
 def cluster_fidelity_recursive(model: EffectiveModel, n: int) -> Tuple[float, float]:

@@ -78,7 +78,8 @@ def evolve_vector(
     the identity the result is the propagator exp(-i M t). A (K, n, n) stack
     of generators with a (K,) array of durations evolves ``vec`` under each
     member in one call and returns the K results stacked; each member equals
-    its own unstacked call bit for bit.
+    its own unstacked call bit for bit. A non-finite generator entry, in
+    any member of a stack, raises NumericError before either method runs.
     """
     matrix = np.asarray(matrix, dtype=complex)
     vec = np.asarray(vec, dtype=complex)
@@ -93,6 +94,9 @@ def evolve_vector(
         raise ArgumentError(
             f"matrix {matrix.shape} does not act on vector of length {vec.shape[0]}"
         )
+    if not np.isfinite(matrix).all():
+        # the integrator would reject every step of a NaN generator until MAX_STEPS
+        raise NumericError("non-finite generator entries")
     if opts.method == MATRIX_EXPONENTIAL:
         out = expm(-1j * matrix * times[..., None, None]) @ vec
     else:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavity_entangler import StateVector
+from cavity_entangler import StateVector, step_params
 
 
 def oracle_hamiltonian(lams, kappa, active, cutoff=2):
@@ -112,6 +112,40 @@ def ideal_cluster_vector(n):
             flipped = w.reshape(-1)
         vec = np.concatenate([vec.reshape(-1, 1), flipped.reshape(-1, 1)], axis=1).reshape(-1)
     return vec / 2 ** (n / 2)
+
+
+def two_branch_register(model, n):
+    """The two-branch cluster recursion run one interleaved qubit at a time.
+
+    Returns the dense register 2^{-N/2} (|0>_N x + a' sigma_z^{N-1} |1>_N y)
+    and the per-step norms 2^{-(k+1)} (|x_k|^2 + |y_k|^2) for k < N, then
+    |register|^2 for k = N. The coefficients come from ``step_params``
+    alone: a (swap), b (double survival) and d = kappa a / (2 lam) at each
+    load root, and the drain's swap amplitude a'.
+    """
+    def interleave(zero, one):
+        out = np.empty(2 * zero.size)
+        out[0::2], out[1::2] = zero, one
+        return out
+
+    def sz_on_last(vec):
+        w = vec.reshape(-1, 2).copy()
+        w[:, 0] *= -1
+        return w.reshape(-1)
+
+    kappa = model.kappa
+    x = y = np.array([1.0])
+    per_step = []
+    for k, lam in enumerate(model.lambdas[: n - 1].tolist(), start=1):
+        p = step_params(lam, kappa, "load")
+        a, b, d = p.swap_amp, p.double_amp, kappa * p.swap_amp / (2.0 * lam)
+        szy = sz_on_last(y) if k > 1 else y
+        x, y = interleave(x, a * szy), interleave(a * x + d * szy, b * szy)
+        per_step.append((k, (x @ x + y @ y) / 2 ** (k + 1)))
+    drain_amp = step_params(float(model.lambdas[n - 1]), kappa, "drain").swap_amp
+    register = interleave(x, drain_amp * sz_on_last(y)) * 2 ** (-n / 2)
+    per_step.append((n, register @ register))
+    return register, per_step
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     oracle_cluster_protocol,
     oracle_evolve,
     oracle_hamiltonian,
+    two_branch_register,
 )
 
 
@@ -228,6 +230,31 @@ class TestClusterAnalytic:
         model = EffectiveModel((1.0,) * 25, 0.0)
         with pytest.raises(CapacityError):
             cluster_analytic(model, 25)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_two_branch_oracle(self, rng, n):
+        # every cut position of the split build, both parities of N
+        lams = tuple(rng.uniform(0.5, 2.0, n))
+        model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams))
+        state, report = cluster_analytic(model, n)
+        register, per_step = two_branch_register(model, n)
+        assert np.max(np.abs(state.amplitudes - register)) <= 1e-15
+        assert [k for k, _ in report.per_step] == [k for k, _ in per_step]
+        for (_, norm), (_, ref) in zip(report.per_step, per_step):
+            assert norm == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    def test_peak_memory_is_the_register_and_its_complex_copy(self):
+        # the real product and its complex cast: 1.5x the complex register's bytes
+        n = 20
+        model = EffectiveModel(tuple(np.linspace(0.8, 1.2, n)), 0.05)
+        cluster_analytic(model, n)
+        tracemalloc.start()
+        try:
+            cluster_analytic(model, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 16 * (1 << n)
 
 
 class TestClusterFidelityRecursive:

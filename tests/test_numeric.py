@@ -8,6 +8,7 @@ from cavity_entangler import (
     ArgumentError,
     ConvergenceError,
     EffectiveModel,
+    NumericError,
     OperatorMatrix,
     PropagatorOptions,
     build_effective,
@@ -79,7 +80,6 @@ class TestEvolve:
             evolve(h, make_basis_state([0], 0, 2), 1.0)
 
     def test_non_finite_hamiltonian_rejected(self):
-        from cavity_entangler import NumericError
         bad = np.zeros((4, 4))
         bad[0, 0] = np.nan
         with pytest.raises(NumericError):
@@ -153,6 +153,15 @@ class TestStackedEvolution:
             evolve_vector(stack, np.eye(4), times, RK_OPTS)
         out = evolve_vector(stack[:2], np.eye(4), times[:2], RK_OPTS)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("opts", [PropagatorOptions(), RK_OPTS], ids=["expm", "dopri5"])
+    def test_non_finite_generator_fails_fast(self, rng, opts):
+        # the integrator alone would spin to MAX_STEPS on the NaN entry
+        bad = decaying_generators(rng, 3, 4)
+        bad[1, 2, 3] = np.nan
+        for matrix, times in ((bad[1], 1.0), (bad, np.ones(3))):
+            with pytest.raises(NumericError, match="non-finite generator"):
+                evolve_vector(matrix, np.eye(4), times, opts)
 
 
 F = Fraction

@@ -137,10 +137,22 @@ class TestClusterRun:
             )
             assert report.success_probability == pytest.approx(register.norm_sq(), abs=1e-13)
 
+    @pytest.mark.parametrize("n", [12, 17, 20])
+    def test_matches_step_map_fold_at_benchmark_sizes(self, rng, n):
+        # amplitudes only: the fold's own norm_sq over 2^(N+1) entries drifts
+        # past 1e-12 near N = 20
+        lams = tuple(rng.uniform(0.5, 2.0, n))
+        model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams))
+        state, _ = run_cluster(model, n, "analytic")
+        register, _ = fold_cluster(model, n)
+        assert np.max(np.abs(state.amplitudes - register.amplitudes)) <= 1e-14
+
     def test_no_decay_is_exact(self):
-        for n in (2, 3, 5):
+        # N = 2..20 puts the split build's cut at every position, both parities
+        for n in range(2, 21):
             state, report = run_cluster(EffectiveModel((1.0,) * n, 0.0), n, "analytic")
             assert np.all(np.abs(state.amplitudes) == 2.0 ** (-n / 2.0))
+            assert report.fidelity == 1.0
             assert report.success_probability == 1.0
 
     @pytest.mark.parametrize("mode", ["analytic", "numeric"])
