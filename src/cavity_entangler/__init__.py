@@ -51,7 +51,6 @@ from .protocols import (
 )
 from .records import RunReport
 from .statespace import (
-    BasisLabel,
     SingleExcitation,
     StateVector,
     factor_out_cavity,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgumentError",
-    "BasisLabel",
     "CapacityError",
     "CavityEntanglerError",
     "ConvergenceError",

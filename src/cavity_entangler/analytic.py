@@ -526,9 +526,12 @@ class WSolution:
 def w_solve_lambda1(lambda_rest: Sequence[float], kappa: float) -> WSolution:
     """Solve lambda1 = A' exp(kappa*pi / (2 B(lambda1))) by damped fixed point.
 
-    The map's derivative is tiny in the supported regime, so the 0.5 damping
-    only guards pathological inputs; iteration stops at relative 1e-14 so the
-    squared-condition residual lands safely below 1e-12.
+    The map's slope is -0.014 at kappa/A' = 0.1, where the damped iteration
+    takes 41 steps and the undamped one 8; towards the overdamped edge
+    kappa/A' = 4 sqrt(2) it falls to -0.96 at 5 and -1.11 at 5.65, where the
+    undamped map does not converge in 200 steps and the 0.5 damping takes 14
+    and 57. Iteration stops at relative 1e-14 so the squared-condition
+    residual lands safely below 1e-12.
     """
     rest = _rest_couplings(lambda_rest)
     if not 0 <= kappa < math.inf:

@@ -79,13 +79,11 @@ FEASIBILITY_DEFAULTS = {"g": 1.8e8, "omega": 8.5e7, "delta": 1.5e9, "Q": 1e7, "n
 # the elimination check wants equal drive strengths so the level shifts cancel
 THREE_LEVEL_DEFAULTS = {"g": 1.8e8, "omega": 1.8e8, "delta": 1.8e9}
 
-_FREQ_UNITS = {
-    "rad/s": 1.0,
-    "hz": 2.0 * math.pi,
-    "khz": 2.0 * math.pi * 1e3,
-    "mhz": 2.0 * math.pi * 1e6,
-    "ghz": 2.0 * math.pi * 1e9,
-}
+# a number and an optional unit; each parser's table says which units it takes
+_NUMBER_UNIT = re.compile(r"\s*([0-9eE+\-.]+)\s*([a-zA-Z/]*)\s*")
+_HZ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+_FREQ_UNITS = {"rad/s": 1.0, **{unit: 2.0 * math.pi * hz for unit, hz in _HZ_UNITS.items()}}
+_PLAIN_UNITS = {"": 1.0, **_HZ_UNITS}
 
 
 def _to_float(number, value) -> float:
@@ -101,37 +99,33 @@ def _to_float(number, value) -> float:
         raise ArgumentError(f"cannot parse number {value!r}") from None
 
 
+def _parse_number_unit(value: str, units: dict, what: str) -> float:
+    """The number in ``value`` times the scale of its case-insensitive unit in ``units``."""
+    m = _NUMBER_UNIT.fullmatch(value)
+    if not m:
+        raise ArgumentError(f"cannot parse {what} {value!r}")
+    number, unit = m.groups()
+    scale = units.get(unit.lower())
+    if scale is None:
+        raise ArgumentError(
+            f"unknown {what} unit {unit!r} (use {', '.join(u for u in units if u)})"
+        )
+    return _to_float(number, value) * scale
+
+
 def parse_frequency(value) -> float:
     """Angular frequency in rad/s from a number or a suffixed string."""
     if isinstance(value, (int, float)):
         return _to_float(value, value)
     if isinstance(value, str):
-        m = re.fullmatch(r"\s*([0-9eE+\-.]+)\s*([a-zA-Z/]+)\s*", value)
-        if not m:
-            raise ArgumentError(f"cannot parse frequency {value!r}")
-        unit = m.group(2).lower()
-        if unit not in _FREQ_UNITS:
-            raise ArgumentError(
-                f"unknown frequency unit {m.group(2)!r} (use rad/s, Hz, kHz, MHz, GHz)"
-            )
-        return _to_float(m.group(1), value) * _FREQ_UNITS[unit]
+        return _parse_number_unit(value, _FREQ_UNITS, "frequency")
     raise ArgumentError(f"frequency must be a number or string, got {type(value).__name__}")
 
 
 def parse_plain(value) -> float:
     """Plain positive number (quality factors, cavity frequency in Hz)."""
     if isinstance(value, str):
-        m = re.fullmatch(r"\s*([0-9eE+\-.]+)\s*([a-zA-Z/]*)\s*", value)
-        if not m:
-            raise ArgumentError(f"cannot parse number {value!r}")
-        num = _to_float(m.group(1), value)
-        unit = m.group(2).lower()
-        if unit in ("", None):
-            return num
-        scale = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}.get(unit)
-        if scale is None:
-            raise ArgumentError(f"unknown unit {m.group(2)!r}")
-        return num * scale
+        return _parse_number_unit(value, _PLAIN_UNITS, "number")
     return _to_float(value, value)
 
 
@@ -388,6 +382,8 @@ def cmd_run(config: RunConfig, args) -> int:
             f"--dump-state writes the dense register and is capped at "
             f"{statespace.MAX_DENSE_QUBITS} register qubits, got {register_qubits}"
         )
+    _check_distinct({"--config": args.config, "--dump-state": args.dump_state,
+                     "--dump-h": args.dump_h})
     for path in (args.dump_state, args.dump_h):
         _check_writable(path)
     fid, p, register, report = _execute(config.protocol, config.n, config.lambdas,
@@ -441,6 +437,23 @@ def _dump_hamiltonians(config: RunConfig, path: str) -> None:
 
 def _cannot_write(path: str, exc: OSError) -> ArgumentError:
     return ArgumentError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_distinct(paths: dict) -> None:
+    """Refuse two of the named paths that resolve to one file, before any is written.
+
+    An existing file that is not a regular file, such as /dev/null, may be
+    named more than once.
+    """
+    seen = {}
+    for name, path in paths.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        device = os.path.exists(real) and not os.path.isfile(real)
+        if real in seen and not device:
+            raise ArgumentError(f"{seen[real]} and {name} name the same file {path}")
+        seen.setdefault(real, name)
 
 
 def _check_writable(path: Optional[str]) -> None:
@@ -529,6 +542,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
     out_path = args.output or config.output
     if not out_path:
         raise ArgumentError("no output path (config 'output' or --output)")
+    _check_distinct({"--config": args.config,
+                     "--output" if args.output else "the config's output": out_path,
+                     "--gnuplot": args.gnuplot})
     for path in (out_path, args.gnuplot):
         _check_writable(path)
     grid = config.sweep["kappa_over_lambda"]
@@ -657,7 +673,7 @@ def _check_w_cancellation(rng) -> tuple:
 def three_level_transfer_fidelity(g: float, omega: float, delta: float) -> float:
     """One full-transfer step under the rotated three-level model vs the
     effective-model prediction (-i |0, one photon>), on a single qubit."""
-    model = ThreeLevelModel((g,), (omega,), (delta,), strict=False)
+    model = ThreeLevelModel((g,), (omega,), (delta,))
     lam = effective_coupling(g, omega, delta)
     t = analytic.step_params(lam, 0.0).duration
     h3 = build_full_rotated(model, 1, 2)

@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ArgumentError, RegimeWarning
 
 REGIME_MAX_KAPPA_OVER_LAMBDA = 0.1
-ADIABATIC_WARN_RATIO = 0.1
-ADIABATIC_MAX_RATIO = 0.2
+ADIABATIC_WARN_RATIO = 0.1     # a ThreeLevelModel above it warns
+ADIABATIC_MAX_RATIO = 0.2      # validate flags a three-level check above it
 
 
 def out_of_regime(kappa: float, lam_min: float) -> bool:
@@ -68,7 +68,7 @@ class EffectiveModel:
                 f"kappa/min(lambda) = {self.kappa / lam_min:.3g} exceeds the supported regime "
                 f"(<= {REGIME_MAX_KAPPA_OVER_LAMBDA}); results are not validated there",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,   # past __post_init__ and __init__: the line building the model
             )
 
     @property
@@ -83,7 +83,6 @@ class ThreeLevelModel:
     g: tuple
     omega: tuple
     delta: tuple
-    strict: bool = True
 
     def __post_init__(self):
         g = tuple(float(x) for x in self.g)
@@ -97,17 +96,12 @@ class ThreeLevelModel:
         if any(d <= 0 for d in delta):
             raise ArgumentError("all detunings must be > 0")
         ratio = self.adiabatic_ratio
-        if ratio > ADIABATIC_MAX_RATIO and self.strict:
-            raise ArgumentError(
-                f"max(g, Omega)/delta = {ratio:.3g} > {ADIABATIC_MAX_RATIO}: the far-detuned "
-                "condition is violated (pass strict=False to build anyway)"
-            )
         if ratio > ADIABATIC_WARN_RATIO:
             warnings.warn(
                 f"max(g, Omega)/delta = {ratio:.3g} > {ADIABATIC_WARN_RATIO}: the "
                 "two-level reduction degrades",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=3,   # past __post_init__ and __init__: the line building the model
             )
 
     @property

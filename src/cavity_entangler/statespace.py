@@ -28,20 +28,20 @@ MAX_DENSE_QUBITS = 24   # dense 2^N storage; larger cluster registers go
                         # SingleExcitation at any size
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """One computational basis ket: qubit bits (qubit 1 first) and a photon number."""
-
-    qubit_bits: tuple
-    photon_number: int
-
-    def __post_init__(self):
-        if len(self.qubit_bits) == 0:
-            raise ArgumentError("qubit_bits must be non-empty")
-        if any(b not in (0, 1) for b in self.qubit_bits):
-            raise ArgumentError(f"qubit_bits must be binary, got {self.qubit_bits}")
-        if self.photon_number < 0:
-            raise ArgumentError(f"photon_number must be >= 0, got {self.photon_number}")
+def _basis_index(bits: tuple, photon: int, cutoff: int) -> int:
+    """Flat index of the ket |bits>|photon>_c: bits non-empty and binary, 0 <= photon < cutoff."""
+    if len(bits) == 0:
+        raise ArgumentError("qubit_bits must be non-empty")
+    if any(b not in (0, 1) for b in bits):
+        raise ArgumentError(f"qubit_bits must be binary, got {bits}")
+    if photon < 0:
+        raise ArgumentError(f"photon_number must be >= 0, got {photon}")
+    if photon >= cutoff:
+        raise TruncationError(f"photon number {photon} >= cutoff {cutoff}")
+    bits_int = 0
+    for b in bits:
+        bits_int = (bits_int << 1) | b
+    return bits_int * cutoff + photon
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,22 +83,14 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def index_of(self, label: BasisLabel) -> int:
-        if len(label.qubit_bits) != self.qubit_count:
-            raise ArgumentError(
-                f"label has {len(label.qubit_bits)} bits, register has {self.qubit_count}"
-            )
-        if label.photon_number >= self.fock_cutoff:
-            raise TruncationError(
-                f"photon number {label.photon_number} >= cutoff {self.fock_cutoff}"
-            )
-        bits_int = 0
-        for b in label.qubit_bits:
-            bits_int = (bits_int << 1) | b
-        return bits_int * self.fock_cutoff + label.photon_number
-
     def amplitude(self, bits: Sequence[int], photon: int = 0) -> complex:
-        return complex(self.amplitudes[self.index_of(BasisLabel(tuple(bits), photon))])
+        bits = tuple(bits)
+        index = _basis_index(bits, photon, self.fock_cutoff)
+        if len(bits) != self.qubit_count:
+            raise ArgumentError(
+                f"label has {len(bits)} bits, register has {self.qubit_count}"
+            )
+        return complex(self.amplitudes[index])
 
     def _grid(self) -> np.ndarray:
         """View shaped (2, ..., 2, cutoff): one axis per qubit, cavity last."""
@@ -145,16 +137,11 @@ class SingleExcitation:
 
 def make_basis_state(bits: Sequence[int], photon: int, cutoff: int) -> StateVector:
     """Unit-norm state with amplitude 1 on the single ket |bits>|photon>_c."""
-    label = BasisLabel(tuple(bits), photon)
-    if photon >= cutoff:
-        raise TruncationError(f"photon number {photon} >= cutoff {cutoff}")
-    n = len(label.qubit_bits)
-    bits_int = 0
-    for b in label.qubit_bits:
-        bits_int = (bits_int << 1) | b
-    amps = np.zeros((1 << n) * cutoff, dtype=complex)
-    amps[bits_int * cutoff + photon] = 1.0
-    return StateVector(amps, n, cutoff)
+    bits = tuple(bits)
+    index = _basis_index(bits, photon, cutoff)
+    amps = np.zeros((1 << len(bits)) * cutoff, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps, len(bits), cutoff)
 
 
 def inner(a, b) -> complex:

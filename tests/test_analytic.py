@@ -540,6 +540,15 @@ class TestWSolve:
             assert sol.lambda1 >= math.sqrt(sol.rest_coupling_sq) - 1e-14
             assert sol.residual < 1e-12
 
+    @pytest.mark.parametrize("rest", [(1.0,), (1.0, 1.0, 1.0)], ids=["A'=1", "A'^2=3"])
+    @pytest.mark.parametrize("kappa_over_ap", [5.0, 5.5, 5.65])
+    def test_damping_converges_near_the_overdamped_edge(self, rest, kappa_over_ap):
+        # below the edge kappa/A' = 4 sqrt(2) the undamped map's slope passes -1
+        # (-0.96 at 5, -1.11 at 5.65) and it fails to converge in 200 iterations
+        ap = math.sqrt(sum(r * r for r in rest))
+        sol = w_solve_lambda1(rest, kappa_over_ap * ap)
+        assert sol.residual < 1e-12
+
     def test_invalid_inputs(self):
         with pytest.raises(ArgumentError):
             w_solve_lambda1([], 0.0)

@@ -243,6 +243,61 @@ def test_output_check_keeps_an_existing_file(tmp_path, capsys, monkeypatch):
     assert out.read_text() == "old contents\n"
 
 
+_SAME_FILE_DOC = {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
+                  "sweep": {"kappa_over_lambda": _GRID}}
+
+
+@pytest.mark.parametrize("command, flags, config_output", [
+    ("run", ["--dump-state", "{cfg}"], None),
+    ("run", ["--dump-h", "{cfg}"], None),
+    ("run", ["--dump-state", "{same}", "--dump-h", "{same}"], None),
+    ("sweep", ["--output", "{cfg}"], None),
+    ("sweep", [], "{cfg}"),
+    ("sweep", ["--output", "{other}", "--gnuplot", "{cfg}"], None),
+    ("sweep", ["--output", "{same}", "--gnuplot", "{same}"], None),
+    ("sweep", ["--gnuplot", "{same}"], "{same}"),
+    ("run", ["--dump-state", "{alias}"], None),
+    ("sweep", ["--output", "{other}", "--gnuplot", "{alias}"], None),
+], ids=["config-dump-state", "config-dump-h", "dump-state-dump-h", "config-output",
+        "config-config-output", "config-gnuplot", "output-gnuplot", "config-output-gnuplot",
+        "symlink-dump-state", "symlink-gnuplot"])
+def test_output_naming_another_file_refused(tmp_path, capsys, monkeypatch, command, flags,
+                                           config_output):
+    def no_work(*args):
+        raise AssertionError("work started before the same-file check")
+
+    monkeypatch.setattr(cli_module, "_sweep_point", no_work)
+    monkeypatch.setattr(cli_module, "_execute", no_work)
+    cfg = tmp_path / "config.json"
+    paths = {"cfg": cfg, "same": tmp_path / "same.txt", "other": tmp_path / "other.txt",
+             "alias": tmp_path / "alias.json"}
+    paths["alias"].symlink_to(cfg)
+    doc = dict(_SAME_FILE_DOC)
+    if config_output:
+        doc["output"] = config_output.format(**paths)
+    write_config(tmp_path, doc)
+    before = cfg.read_bytes()
+    argv = [command, "--config", str(cfg)] + [f.format(**paths) for f in flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "name the same file" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert cfg.read_bytes() == before
+    assert not paths["same"].exists() and not paths["other"].exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs the /dev/null device")
+@pytest.mark.parametrize("command, flags", [
+    ("run", ["--dump-state", "/dev/null", "--dump-h", "/dev/null"]),
+    ("sweep", ["--output", "/dev/null", "--gnuplot", "/dev/null"]),
+], ids=["run", "sweep"])
+def test_a_device_may_be_named_twice(tmp_path, capsys, command, flags):
+    cfg = write_config(tmp_path, _SAME_FILE_DOC)
+    assert main([command, "--config", cfg] + flags) == 0
+    assert capsys.readouterr().err == ""
+
+
 class _FullDisk:
     """A file opened for writing that takes one line, then fails as a full disk does."""
 

@@ -164,17 +164,33 @@ class TestBuildEffective:
 
 class TestThreeLevelModel:
     def test_regime_enforced(self):
-        with pytest.raises(ArgumentError):
-            ThreeLevelModel((1.0,), (1.0,), (2.0,))   # ratio 0.5 > 0.2
+        # above ADIABATIC_MAX_RATIO the model warns and is built; validate flags it
+        with pytest.warns(RegimeWarning):
+            m = ThreeLevelModel((1.0,), (1.0,), (2.0,))   # ratio 0.5 > 0.2
+        assert m.qubit_count == 1
 
     def test_strict_false_allows_out_of_regime(self):
         with pytest.warns(RegimeWarning):
-            m = ThreeLevelModel((1.0,), (1.0,), (2.0,), strict=False)
+            m = ThreeLevelModel((1.0,), (1.0,), (2.0,))
         assert m.adiabatic_ratio == pytest.approx(0.5)
 
     def test_warning_zone(self):
         with pytest.warns(RegimeWarning):
             ThreeLevelModel((0.15,), (0.1,), (1.0,))
+
+    def test_fields_are_the_three_rates(self):
+        assert [f.name for f in dataclasses.fields(ThreeLevelModel)] == ["g", "omega", "delta"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EffectiveModel((1.0,), 0.5),
+    lambda: ThreeLevelModel((1.0,), (1.0,), (2.0,)),
+], ids=["effective", "three-level"])
+def test_regime_warning_names_the_line_that_built_the_model(build):
+    with pytest.warns(RegimeWarning) as record:
+        build()
+    assert len(record) == 1
+    assert record[0].filename == __file__
 
 
 class TestBuildFullRotated:

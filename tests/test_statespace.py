@@ -18,7 +18,7 @@ from cavity_entangler import (
     inner,
     make_basis_state,
 )
-from cavity_entangler.statespace import BasisLabel, matrix_dump_lines, state_dump_lines
+from cavity_entangler.statespace import matrix_dump_lines, state_dump_lines
 
 from conftest import superpose
 
@@ -188,15 +188,19 @@ class TestSingleExcitation:
 
 class TestLabels:
     def test_roundtrip(self):
-        s = make_basis_state([1, 0, 1], 1, 2)
-        for idx in range(s.dim):
+        # index = int(bits, base=2) * cutoff + photon, qubit 1 the top bit
+        for idx in range(16):
             bits, photon = divmod(idx, 2)
-            label = BasisLabel(tuple(int(b) for b in format(bits, "03b")), photon)
-            assert s.index_of(label) == idx
+            label = [int(b) for b in format(bits, "03b")]
+            s = make_basis_state(label, photon, 2)
+            assert np.flatnonzero(s.amplitudes).tolist() == [idx]
+            assert s.amplitude(label, photon) == 1.0
 
     def test_invalid_bits(self):
         with pytest.raises(ArgumentError):
-            BasisLabel((0, 2), 0)
+            make_basis_state((0, 2), 0, 2)
+        with pytest.raises(ArgumentError):
+            make_basis_state([0, 1], 0, 2).amplitude((0, 2), 0)
 
 
 class TestDumpFormat:
