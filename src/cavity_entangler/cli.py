@@ -79,10 +79,12 @@ FEASIBILITY_DEFAULTS = {"g": 1.8e8, "omega": 8.5e7, "delta": 1.5e9, "Q": 1e7, "n
 # the elimination check wants equal drive strengths so the level shifts cancel
 THREE_LEVEL_DEFAULTS = {"g": 1.8e8, "omega": 1.8e8, "delta": 1.8e9}
 
-# a number and an optional unit; each parser's table says which units it takes
+# a number and an optional unit; each parser's table says which units it takes,
+# and a number with no unit reads as the bare JSON number (rad/s for a frequency)
 _NUMBER_UNIT = re.compile(r"\s*([0-9eE+\-.]+)\s*([a-zA-Z/]*)\s*")
 _HZ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-_FREQ_UNITS = {"rad/s": 1.0, **{unit: 2.0 * math.pi * hz for unit, hz in _HZ_UNITS.items()}}
+_FREQ_UNITS = {"": 1.0, "rad/s": 1.0,
+               **{unit: 2.0 * math.pi * hz for unit, hz in _HZ_UNITS.items()}}
 _PLAIN_UNITS = {"": 1.0, **_HZ_UNITS}
 
 
@@ -440,20 +442,26 @@ def _cannot_write(path: str, exc: OSError) -> ArgumentError:
 
 
 def _check_distinct(paths: dict) -> None:
-    """Refuse two of the named paths that resolve to one file, before any is written.
+    """Refuse two of the named paths that name one file, before any is written.
 
-    An existing file that is not a regular file, such as /dev/null, may be
-    named more than once.
+    An existing file is known by its (device, inode), so a symlink or a hard
+    link to it is the same file; a path that does not exist yet, by its
+    resolved path. An existing file that is not a regular file, such as
+    /dev/null, may be named more than once.
     """
     seen = {}
     for name, path in paths.items():
         if not path:
             continue
-        real = os.path.realpath(path)
-        device = os.path.exists(real) and not os.path.isfile(real)
-        if real in seen and not device:
-            raise ArgumentError(f"{seen[real]} and {name} name the same file {path}")
-        seen.setdefault(real, name)
+        try:
+            info = os.stat(path)
+        except OSError:
+            key, device = os.path.realpath(path), False
+        else:
+            key, device = (info.st_dev, info.st_ino), not stat.S_ISREG(info.st_mode)
+        if key in seen and not device:
+            raise ArgumentError(f"{seen[key]} and {name} name the same file {path}")
+        seen.setdefault(key, name)
 
 
 def _check_writable(path: Optional[str]) -> None:

@@ -5,7 +5,8 @@ block; on the identity it returns the propagator itself. Given a (K, n, n)
 stack of generators and a (K,) array of durations it does the same for every
 member in one call: a numeric cluster run computes all its step propagators
 this way. The protocol oracle uses it on small generators only: the
-(2 x cutoff)-dimensional qubit-cavity block of each cluster step, and the
+(2 x cutoff)-dimensional qubit-cavity block of each cluster step, whose
+propagators the run contracts into the register one qubit at a time, and the
 (N+1)-dimensional single-excitation block of the W protocol. ``evolve`` does
 the same for a StateVector under a full dense OperatorMatrix, the small-N
 ground truth.

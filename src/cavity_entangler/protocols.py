@@ -5,23 +5,26 @@
 "numeric" is the independent oracle: it exponentiates the exchange
 Hamiltonian numerically (matrix exponential or adaptive integrator) and uses
 no closed-form amplitude. A cluster step couples one qubit to the cavity, so
-its propagator is the exponential of that qubit-cavity generator, applied to
-the joint state on the (qubit, cavity) axes in O(2^N). The W Hamiltonian
-conserves excitation number, so the W run evolves the (N+1)-dimensional
-single-excitation block. Coupling/decoupling a qubit is modeled as
-instantaneous switching: a step's generator holds the coupled qubit's exchange
-term and the decay term alone, so uncoupled qubits are strictly uncoupled.
+its propagator is the exponential of that qubit-cavity generator, and the
+register is a sequentially generated matrix-product state with the cavity as
+the ancilla (Schoen et al., PRL 95, 110503 (2005)), grown one qubit per step
+in O(2^j). The W Hamiltonian conserves excitation number, so the W run
+evolves the (N+1)-dimensional single-excitation block. Coupling/decoupling a
+qubit is modeled as instantaneous switching: a step's generator holds the
+coupled qubit's exchange term and the decay term alone, so uncoupled qubits
+are strictly uncoupled.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import analytic, metrics, numeric, statespace
 from .errors import ArgumentError, CapacityError, ProtocolError
-from .hamiltonian import EffectiveModel, build_single_excitation, decay_term, exchange_term
+from .hamiltonian import EffectiveModel, _annihilator, _kron, build_single_excitation, exchange_term
 from .records import RunReport
 from .statespace import SingleExcitation, StateVector
 
@@ -51,7 +54,8 @@ def _check_mode(mode: str) -> None:
 def cluster_initial_state(n: int) -> StateVector:
     """Qubits 1..N-1 in |+>, qubit N in |0>, cavity in (|0> + i|1>)/sqrt(2).
 
-    The joint input of numeric-mode cluster runs.
+    The joint input of the cluster protocol; numeric runs feed it to the
+    register one qubit at a time instead.
     """
     if n < 1:
         raise ArgumentError(f"the cluster input needs n >= 1, got {n}")
@@ -63,6 +67,20 @@ def cluster_initial_state(n: int) -> StateVector:
     amps = np.zeros((1 << (n - 1), 2, 2), dtype=complex)
     amps[:, 0] = weight * cavity
     return StateVector(amps.reshape(-1), n, 2)
+
+
+@lru_cache(maxsize=None)
+def _step_operators(cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One qubit and the cavity: the unit-coupling exchange term and a^dag a, read-only.
+
+    A step at coupling lam has generator ``lam * exchange + (-0.5j * kappa) * number``,
+    bit for bit ``build_effective(EffectiveModel((lam,), kappa), 1, cutoff).matrix``.
+    """
+    a = _annihilator(cutoff)
+    exchange = exchange_term(1, 1, cutoff)
+    number = _kron(np.eye(2, dtype=complex), a.conj().T @ a)
+    exchange.flags.writeable = number.flags.writeable = False
+    return exchange, number
 
 
 def run_cluster(
@@ -78,9 +96,15 @@ def run_cluster(
     from the O(N) ``cluster_fidelity_recursive``. Numeric mode stacks the N
     qubit-cavity step generators and gets all N propagators from one
     ``numeric.evolve_vector`` call (with the adaptive integrator each step
-    keeps its own step control). It applies them to the joint state step by
-    step, factors the cavity out at vacuum, and measures F against the
-    normalized ideal cluster state and P as the register's squared norm.
+    keeps its own step control). Fed its qubit's input (|+>, or |0> for
+    qubit N), step j's propagator is a (cavity-in, qubit' x cavity-out)
+    tensor. From the cavity input (|0> + i|1>)/sqrt(2) the register grows by
+    one matmul per step, qubit j as the new least-significant bit, so the
+    (2^j, cavity) array stays qubit-1-major with the cavity innermost; the
+    qubits not yet coupled are a unit-norm product, so step j's norm is the
+    grown array's. Only numeric propagators and the product input enter, no
+    closed-form amplitude. The cavity is factored out at vacuum; F is taken
+    against the normalized ideal cluster state, P is the squared norm.
     Either way the photon-1 weight left after the final (drain) step is
     reported as ``details["cavity_residual"]`` and raises FactorizationError
     above ``CAVITY_TOL[mode]`` relative to the state's norm: it signals a
@@ -98,26 +122,30 @@ def run_cluster(
         return analytic.cluster_analytic(model, n)
 
     steps = analytic.cluster_schedule(model, n)
-    opts = opts or numeric.PropagatorOptions()
-    psi = cluster_initial_state(n)
-    cutoff = psi.fock_cutoff
-    grid = psi._grid()
-    # one qubit plus the cavity: a step at coupling lam has generator lam * exchange + decay
-    exchange = exchange_term(1, 1, cutoff)
-    decay = decay_term(1, model.kappa, cutoff)
+    cutoff = 2          # the one-photon cavity of the input (|0> + i|1>)/sqrt(2)
+    exchange, number = _step_operators(cutoff)
     lams = np.array([step.lam for step in steps])
     durations = np.array([step.duration for step in steps])
     propagators = numeric.evolve_vector(
-        lams[:, None, None] * exchange + decay, np.eye(exchange.shape[0]), durations, opts
+        lams[:, None, None] * exchange + (-0.5j * model.kappa) * number,
+        np.eye(exchange.shape[0]),
+        durations,
+        opts or numeric.PropagatorOptions(),
     )
+    # qubit inputs |+> for qubits 1..N-1 and |0> for qubit N, and
+    # tensors[j][c, (b', c')] = sum_b U_j[(b', c'), (b, c)] inputs[j][b]
+    inputs = np.full((n, 2), 1.0 / math.sqrt(2.0))
+    inputs[-1] = (1.0, 0.0)
+    tensors = np.einsum(
+        "kpqbc,kb->kcpq", propagators.reshape(n, 2, cutoff, 2, cutoff), inputs
+    ).reshape(n, cutoff, 2 * cutoff)
+    grown = np.array([[1.0, 1j]]) / math.sqrt(2.0)
     per_step = []
-    for j, u in enumerate(propagators, start=1):
-        # (qubit', photon', qubit, photon) contracted with the (j, cavity) axes
-        grid = np.tensordot(u.reshape(2, cutoff, 2, cutoff), grid, axes=([2, 3], [j - 1, n]))
-        per_step.append((j, float(np.vdot(grid, grid).real)))
-        grid = np.moveaxis(grid, (0, 1), (j - 1, n))
+    for j, tensor in enumerate(tensors, start=1):
+        grown = (grown @ tensor).reshape(-1, cutoff)
+        per_step.append((j, float(np.vdot(grown, grown).real)))
 
-    psi = StateVector(grid.reshape(-1), n, cutoff)
+    psi = StateVector(grown.reshape(-1), n, cutoff)
     register = statespace.factor_out_cavity(psi, photon=0, tol=CAVITY_TOL[NUMERIC])
     report = RunReport(
         fidelity=metrics.fidelity(register, analytic.ideal_cluster(n)),

@@ -92,10 +92,6 @@ class StateVector:
             )
         return complex(self.amplitudes[index])
 
-    def _grid(self) -> np.ndarray:
-        """View shaped (2, ..., 2, cutoff): one axis per qubit, cavity last."""
-        return self.amplitudes.reshape([2] * self.qubit_count + [self.fock_cutoff])
-
 
 @dataclass(frozen=True, eq=False)
 class SingleExcitation:

@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import multiprocessing.process
 import os
 import stat
 import warnings
@@ -19,6 +20,7 @@ from cavity_entangler.cli import (
     config_from_dict,
     main,
     parse_frequency,
+    parse_plain,
     three_level_transfer_fidelity,
 )
 
@@ -42,8 +44,26 @@ class TestFrequencyParsing:
     def test_garbage_rejected(self):
         with pytest.raises(ArgumentError):
             parse_frequency("fast")
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match=r"^unknown frequency unit 'parsecs' "
+                           r"\(use rad/s, hz, khz, mhz, ghz\)$"):
             parse_frequency("10 parsecs")
+        with pytest.raises(ArgumentError, match=r"^unknown number unit 'x' "
+                           r"\(use hz, khz, mhz, ghz\)$"):
+            parse_plain("1 x")
+
+    @pytest.mark.parametrize("parse", [parse_frequency, parse_plain])
+    @pytest.mark.parametrize("text, number", [
+        ("2.5e4", 2.5e4), (" 2.5e4 ", 2.5e4), ("1e7", 1e7), ("25000", 25000),
+    ])
+    def test_quoted_number_without_unit_reads_as_the_bare_number(self, parse, text, number):
+        # one rule for both parsers: rad/s for a frequency, the number itself otherwise
+        assert parse(text) == parse(number) == number
+
+    def test_unit_strings_keep_their_values(self):
+        assert parse_frequency("10 MHz") == 10.0 * (2.0 * math.pi * 1e6)
+        assert parse_frequency("2e4 rad/s") == 2e4
+        assert parse_plain("40 GHz") == 4e10
+        assert parse_plain("3 kHz") == 3e3
 
 
 class TestConfigParsing:
@@ -258,9 +278,13 @@ _SAME_FILE_DOC = {"protocol": "cluster", "N": 3, "lambdas": 1.0, "kappa": 0.0,
     ("sweep", ["--gnuplot", "{same}"], "{same}"),
     ("run", ["--dump-state", "{alias}"], None),
     ("sweep", ["--output", "{other}", "--gnuplot", "{alias}"], None),
+    ("sweep", ["--output", "{link}"], None),
+    ("sweep", ["--output", "{other}", "--gnuplot", "{link}"], None),
+    ("run", ["--dump-state", "{link}"], None),
 ], ids=["config-dump-state", "config-dump-h", "dump-state-dump-h", "config-output",
         "config-config-output", "config-gnuplot", "output-gnuplot", "config-output-gnuplot",
-        "symlink-dump-state", "symlink-gnuplot"])
+        "symlink-dump-state", "symlink-gnuplot", "hardlink-output", "hardlink-gnuplot",
+        "hardlink-dump-state"])
 def test_output_naming_another_file_refused(tmp_path, capsys, monkeypatch, command, flags,
                                            config_output):
     def no_work(*args):
@@ -270,12 +294,13 @@ def test_output_naming_another_file_refused(tmp_path, capsys, monkeypatch, comma
     monkeypatch.setattr(cli_module, "_execute", no_work)
     cfg = tmp_path / "config.json"
     paths = {"cfg": cfg, "same": tmp_path / "same.txt", "other": tmp_path / "other.txt",
-             "alias": tmp_path / "alias.json"}
+             "alias": tmp_path / "alias.json", "link": tmp_path / "link.csv"}
     paths["alias"].symlink_to(cfg)
     doc = dict(_SAME_FILE_DOC)
     if config_output:
         doc["output"] = config_output.format(**paths)
     write_config(tmp_path, doc)
+    os.link(cfg, paths["link"])        # a hard link: another name, the same inode
     before = cfg.read_bytes()
     argv = [command, "--config", str(cfg)] + [f.format(**paths) for f in flags]
     assert main(argv) == 1
@@ -1058,7 +1083,11 @@ class TestSweepCommand:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
+        def no_process(*args, **kwargs):
+            raise AssertionError("a process was started")
+
         monkeypatch.setattr(cli_module.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
         monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpu_count)
         return created
 
@@ -1080,6 +1109,8 @@ class TestSweepCommand:
         (2, 16, 8, [2]),        # as asked
         (64, None, 8, []),      # unknown CPU count: serial, no pool
         (1, 16, 8, []),         # serial, no pool
+        (10**9, 4, 2, [2]),     # an extreme request: capped at the 2 rows
+        (10**9, 1, 2, []),      # ... and at one CPU: serial, no pool
     ])
     def test_jobs_capped(self, tmp_path, capsys, monkeypatch, jobs, cpus, steps, workers):
         created = self.recording_pool(monkeypatch, cpus)
@@ -1087,7 +1118,7 @@ class TestSweepCommand:
         assert created == workers
         assert "rows=%d" % steps in capsys.readouterr().out
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    @pytest.mark.parametrize("jobs", [0, -1, -3])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
         created = self.recording_pool(monkeypatch, 4)
         assert self.sweep_with_jobs(tmp_path, jobs, 3) == 1

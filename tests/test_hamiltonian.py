@@ -168,8 +168,12 @@ class TestThreeLevelModel:
         with pytest.warns(RegimeWarning):
             m = ThreeLevelModel((1.0,), (1.0,), (2.0,))   # ratio 0.5 > 0.2
         assert m.qubit_count == 1
+        assert m.adiabatic_ratio == pytest.approx(0.5)
 
     def test_strict_false_allows_out_of_regime(self):
+        # the former strict=False path is now the only one: the keyword is gone
+        with pytest.raises(TypeError):
+            ThreeLevelModel((1.0,), (1.0,), (2.0,), strict=False)
         with pytest.warns(RegimeWarning):
             m = ThreeLevelModel((1.0,), (1.0,), (2.0,))
         assert m.adiabatic_ratio == pytest.approx(0.5)

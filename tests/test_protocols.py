@@ -424,29 +424,48 @@ class TestNumericOracle:
                 np.linalg.norm(grid[:, :, 1]), abs=1e-12)
 
     @pytest.mark.parametrize("opts", [None, RK_OPTS], ids=["expm", "dopri5"])
-    def test_cluster_bitwise_equal_to_per_step_generators(self, rng, opts):
+    def test_cluster_bitwise_equal_to_per_step_generators(self, rng, opts, monkeypatch):
+        # stacking changes no bit of a step's generator or propagator; the
+        # grown register matches the joint-state loop to rounding
+        opts = opts or PropagatorOptions()
+        real_evolve, calls = numeric.evolve_vector, []
+
+        def recording(matrix, vec, t, o):
+            out = real_evolve(matrix, vec, t, o)
+            calls.append((matrix, out))
+            return out
+
+        monkeypatch.setattr(numeric, "evolve_vector", recording)
+
         def per_step_run(model, n):
             # each step builds its own one-qubit generator with build_effective
-            psi = cluster_initial_state(n)
-            grid = psi._grid()
-            norms = []
+            # and applies its propagator to the whole joint state
+            grid = cluster_initial_state(n).amplitudes.reshape([2] * (n + 1))
+            generators, propagators, norms = [], [], []
             for j, step in enumerate(cluster_schedule(model, n), start=1):
-                h = build_effective(EffectiveModel((step.lam,), model.kappa), 1, 2)
-                u = numeric.evolve_vector(h.matrix, np.eye(h.dim), step.duration,
-                                          opts or PropagatorOptions())
+                h = build_effective(EffectiveModel((step.lam,), model.kappa), 1, 2).matrix
+                u = real_evolve(h, np.eye(4), step.duration, opts)
+                generators.append(h)
+                propagators.append(u)
                 grid = np.tensordot(u.reshape(2, 2, 2, 2), grid, axes=([2, 3], [j - 1, n]))
                 norms.append(float(np.vdot(grid, grid).real))
                 grid = np.moveaxis(grid, (0, 1), (j - 1, n))
-            return grid.reshape(-1, 2), norms
+            return grid.reshape(-1, 2), generators, propagators, norms
 
         for n in range(2, 9):
             lams = tuple(rng.uniform(0.5, 2.0, n))
             model = EffectiveModel(lams, float(rng.uniform(0.0, 0.1)) * min(lams))
+            calls.clear()
             state, report = run_cluster(model, n, "numeric", opts)
-            joint, norms = per_step_run(model, n)
-            assert np.array_equal(state.amplitudes, joint[:, 0])
-            assert [norm for _, norm in report.per_step] == norms
-            assert report.details["cavity_residual"] == float(np.linalg.norm(joint[:, 1]))
+            joint, generators, propagators, norms = per_step_run(model, n)
+            [(stacked_generators, stacked_propagators)] = calls
+            assert stacked_generators.tobytes() == np.array(generators).tobytes()
+            assert stacked_propagators.tobytes() == np.array(propagators).tobytes()
+            assert np.max(np.abs(state.amplitudes - joint[:, 0])) <= 1e-15
+            got = np.array([norm for _, norm in report.per_step])
+            assert [j for j, _ in report.per_step] == list(range(1, n + 1))
+            assert np.max(np.abs(got - norms) / np.array(norms)) <= 1e-14
+            assert abs(report.details["cavity_residual"] - np.linalg.norm(joint[:, 1])) <= 1e-15
 
     def test_cluster_modes_agree_at_sixteen_qubits(self, rng):
         n = 16
